@@ -55,7 +55,7 @@ def main(argv=None):
         tag = f"level{level:g}"
         study.write_jsonl(args.out / f"study_{tag}.jsonl")
         study.write_summary_csv(args.out / f"summary_{tag}.csv")
-        rows = study.quantile_rows("")
+        rows = study.quantile_rows()
         print(f"emission scale {level:g} ({time.time() - t0:.0f}s):",
               file=sys.stderr)
         for name, vals in rows.items():

@@ -206,6 +206,7 @@ def cmd_risk_ratio(args) -> int:
                                         cfg.get("eta2", 1.0), tests, block_pred)
     with open(out / "risk_ratio.json", "w") as fh:
         json.dump({"s1": rep.s1, "s2": rep.s2, "value": rep.value,
+                   "mean_log_ratio": rep.mean_log_ratio,
                    "mc_se": rep.mc_se, "n_test_sets": rep.n_test_sets}, fh,
                   indent=2)
     print(f"risk ratio {rep.value:.4f} (se {rep.mc_se:.4f})", file=sys.stderr)

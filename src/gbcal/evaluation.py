@@ -4,17 +4,20 @@ replicate studies, and concentration diagnostics.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .datasets import ParameterError, SsmTruth, simulate_ssm, split_ssm_blocks
 from .hypercal import (GridPosterior, SGrid, compute_estimator_set,
                        grid_posterior_from_values, prior_uniform)
-from .ssm import build_ssm_phi_posterior
+from .ssm import (anchor_pair_log_predictive, build_ssm_phi_lattice,
+                  build_ssm_phi_posterior)
 
 
 @dataclass(frozen=True)
@@ -67,39 +70,32 @@ def risk_ratio_pooled(s1, s2, test_sets, pooled_log_pred_at) -> RiskRatioReport:
     return _report(s1, s2, "pooled", logs)
 
 
-def _ssm_exact_block_integrals(post1, post2, anchor_var: float = 1.0,
-                               r_max: float = 300.0,
-                               n_quad: int = 12001) -> tuple[float, float]:
+@functools.cache
+def _laguerre_rule():
+    """64-node Gauss-Laguerre rule for integrals against exp(-u) on
+    [0, inf): (nodes, weights)."""
+    return np.polynomial.laguerre.laggauss(64)
+
+
+def _ssm_exact_block_integrals(post1, post2,
+                               anchor_var: float = 1.0) -> tuple[float, float]:
     """(log E[p1/p2], E[log p1 - log p2]) per fresh block, by quadrature.
 
     The block score of an anchor-pair predictive depends on the data only
-    through the anchor residual sum of squares, which for a fresh block is
-    anchor_var times a chi-square with 2 degrees of freedom.  Both
-    expectations are then one-dimensional integrals over that residual,
-    evaluated by trapezoid quadrature on one shared grid.
+    through the anchor residual sum of squares r, which for a fresh block
+    is anchor_var times a chi-square with 2 degrees of freedom, so
+    u = r / (2 anchor_var) is a standard exponential.  Both expectations
+    are then integrals against exp(-u) on [0, inf), done by a 64-node
+    Gauss-Laguerre rule: 32, 64 and 128 nodes agree to about 1e-13.
     """
-    from scipy.special import logsumexp
-
-    r = np.linspace(0.0, r_max, n_quad)
-
-    def logp(post):
-        t = post.phi2
-        per = (-np.log(2.0 * np.pi * t)[None, :]
-               - r[:, None] / (2.0 * t)[None, :])
-        return logsumexp(per + post.log_weights[None, :], axis=1)
-
-    log_diff = logp(post1) - logp(post2)
-    # chi-square(2) density of r / anchor_var, with the scale Jacobian
-    log_w = log_diff - r / (2.0 * anchor_var) - np.log(2.0 * anchor_var)
-    m = float(np.max(log_w))
-    log_expected_ratio = m + float(np.log(np.trapezoid(np.exp(log_w - m), r)))
-    density = np.exp(-r / (2.0 * anchor_var) - np.log(2.0 * anchor_var))
-    expected_log_ratio = float(np.trapezoid(log_diff * density, r))
-    return log_expected_ratio, expected_log_ratio
+    u, w = _laguerre_rule()
+    r = 2.0 * anchor_var * u
+    log_diff = (anchor_pair_log_predictive(r, post1.phi2, post1.log_weights)
+                - anchor_pair_log_predictive(r, post2.phi2, post2.log_weights))
+    return float(logsumexp(log_diff, b=w)), float(w @ log_diff)
 
 
-def ssm_exact_block_log_ratio(post1, post2, anchor_var: float = 1.0,
-                              r_max: float = 300.0, n_quad: int = 12001) -> float:
+def ssm_exact_block_log_ratio(post1, post2, anchor_var: float = 1.0) -> float:
     """log of the expected per-block predictive ratio for fresh anchor pairs.
 
     The expected ratio E[p1(block)/p2(block)] is a one-dimensional integral
@@ -111,8 +107,7 @@ def ssm_exact_block_log_ratio(post1, post2, anchor_var: float = 1.0,
     equal predictive quality the expected ratio is 1 + c with c far below
     the Monte Carlo error of any affordable number of simulated test sets.
     """
-    return _ssm_exact_block_integrals(post1, post2, anchor_var,
-                                      r_max, n_quad)[0]
+    return _ssm_exact_block_integrals(post1, post2, anchor_var)[0]
 
 
 def high_precision_optimal_s(loss_fn, bounds, n_coarse: int = 81) -> tuple[float, bool]:
@@ -171,7 +166,7 @@ class ReplicateStudy:
     estimator_sets: list
     risk_reports: list  # list of dicts: name -> RiskRatioReport
 
-    def quantile_rows(self, against: str):
+    def quantile_rows(self):
         """(min, q25, median, q75, max, mean) of risk ratios per estimator."""
         rows = {}
         names = self.risk_reports[0].keys()
@@ -190,11 +185,13 @@ class ReplicateStudy:
                        "config_hash": self.config.config_hash(),
                        "seed": self.config.seed,
                        "estimators": est.as_dict(),
-                       "risk_ratios": {k: v.value for k, v in reps.items()}}
+                       "risk_ratios": {k: v.value for k, v in reps.items()},
+                       "mean_log_ratios": {k: v.mean_log_ratio
+                                           for k, v in reps.items()}}
                 fh.write(json.dumps(rec) + "\n")
 
     def write_summary_csv(self, path):
-        rows = self.quantile_rows("")
+        rows = self.quantile_rows()
         with open(path, "w") as fh:
             fh.write("comparison,min,q25,median,q75,max,mean\n")
             for name, vals in rows.items():
@@ -203,13 +200,8 @@ class ReplicateStudy:
 
 def _ssm_eta_posterior(train, calib, truth, grid: SGrid, kind: str) -> GridPosterior:
     etas = grid.axes[0]
-    log_pred = np.empty(len(etas))
-    for i, eta in enumerate(etas):
-        post = build_ssm_phi_posterior(train, truth, float(eta))
-        if kind == "pooled":
-            log_pred[i] = post.pooled_log_predictive(calib)
-        else:
-            log_pred[i] = float(np.sum(post.block_log_predictive(calib)))
+    log_pred = build_ssm_phi_lattice(train, truth, etas).log_predictive(calib,
+                                                                        kind)
     log_prior = prior_uniform(etas[-1])(etas)
     return grid_posterior_from_values(kind, grid, log_pred, log_prior)
 

@@ -91,6 +91,7 @@ class GridPosterior:
     kind: str                # "pooled" | "product"
     _spline: object = field(repr=False, default=None)
     _log_norm: float = field(repr=False, default=0.0)
+    _center: float = field(repr=False, default=0.0)  # subtracted before the spline
 
     @property
     def bounds(self):
@@ -181,14 +182,12 @@ class GridPosterior:
         pts = self.grid.points()
         lpred = self.log_pred.ravel()
         lprior = self.log_prior.ravel()
-        lpost = (lpred + lprior)
-        lpost = lpost - self._log_norm
+        lpost = lpred + lprior - self._center - self._log_norm
         header = ",".join(f"s_axis{i}" for i in range(self.grid.ndim))
         with open(path, "w") as fh:
             fh.write(header + ",log_pred,log_prior,log_post_norm\n")
-            for row, a, b, c in zip(pts, lpred, lprior, lpost):
-                coords = ",".join(repr(float(v)) for v in row)
-                fh.write(f"{coords},{a!r},{b!r},{c!r}\n")
+            for row in np.column_stack([pts, lpred, lprior, lpost]):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def grid_posterior_from_values(kind: str, grid: SGrid, log_pred: np.ndarray,
@@ -225,7 +224,7 @@ def grid_posterior_from_values(kind: str, grid: SGrid, log_pred: np.ndarray,
         log_norm = float(np.log(np.trapezoid(np.trapezoid(vals, fy, axis=1), fx)))
     return GridPosterior(grid=grid, log_pred=log_pred,
                          log_prior=log_prior + 0.0, kind=kind,
-                         _spline=spline, _log_norm=log_norm)
+                         _spline=spline, _log_norm=log_norm, _center=center)
 
 
 # --- Monte Carlo predictives ----------------------------------------------
@@ -335,6 +334,9 @@ def nested_mcmc(log_prior_fn, bounds, state0, inner_refresh, log_calib,
     times the calibration-density ratio of the refreshed versus current
     draws.  Returns (s_draws, accept_rate).
     """
+    if n_outer <= burn_in:
+        raise ParameterError(f"n_outer ({n_outer}) must exceed burn_in "
+                             f"({burn_in})")
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
     d = len(bounds)

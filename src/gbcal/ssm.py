@@ -19,26 +19,85 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .datasets import ParameterError, SsmDataset, SsmTruth
 from .sampling import ar1_bridge
 
-
-def _bridge_eig(truth: SsmTruth, d_x: int):
-    w_left, w_right, Q, V = ar1_bridge(truth, d_x)
-    D, U = np.linalg.eigh(V)
-    return w_left, w_right, Q, D, U
+# log grid on which each phi^2 posterior is first located
+_COARSE = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 500))
 
 
 def _interior_residuals(data: SsmDataset, truth: SsmTruth):
     """Interior emissions minus their prior conditional mean, rotated into
-    the eigenbasis of the bridge covariance.  Returns (R, D, extras)."""
-    w_left, w_right, Q, D, U = _bridge_eig(truth, data.d_x)
+    the eigenbasis of the bridge covariance.  Returns (R, D): residuals
+    (n_blocks, k) and the bridge covariance eigenvalues (k,)."""
+    w_left, w_right, _, V = ar1_bridge(truth, data.d_x)
+    D, U = np.linalg.eigh(V)
     prior_mean = (data.theta_anchor[:, :1] * w_left
                   + data.theta_anchor[:, 1:] * w_right)
-    res = data.x_missing - prior_mean
-    return res @ U, D, (w_left, w_right, Q, prior_mean)
+    return (data.x_missing - prior_mean) @ U, D
+
+
+def anchor_residuals(y: SsmDataset) -> np.ndarray:
+    """Per-block anchor residual sum of squares, shape (n_blocks,)."""
+    return np.sum((y.x_anchor - y.theta_anchor) ** 2, axis=1)
+
+
+def anchor_pair_log_predictive(r, t, log_w, n_pairs: int = 1) -> np.ndarray:
+    """log sum_g w_g (2 pi t_g)^-n exp(-r / (2 t_g)), reduced over the last
+    axis of t.
+
+    This is the log predictive density of n anchor pairs with residual sum
+    of squares r under a mixture, with log weights log_w, of N(0, t_g I)
+    emission laws; n = 1 is one block.  r broadcasts against the leading
+    axes of t: r (J,) with t (G,) gives (J,), a scalar r with t (E, G)
+    gives (E,).  One (..., G) array is built and reduced in place.
+    """
+    out = np.asarray(r, dtype=float)[..., None] * (-0.5 / t)
+    out += log_w - n_pairs * np.log(2.0 * np.pi * t)
+    m = np.max(out, axis=-1, keepdims=True)
+    out -= m
+    np.exp(out, out=out)
+    return m[..., 0] + np.log(np.sum(out, axis=-1))
+
+
+def _tempered_log_marginal(data: SsmDataset, truth: SsmTruth):
+    """f(t, etas): unnormalized log posterior of phi^2 at t (E, G) for the
+    etas (E,) row by row, with the interior latents integrated out.  The
+    data summaries, the bridge eigendecomposition among them, are computed
+    once here.  Valid for the plain (likelihood) loss."""
+    a, b = truth.invgamma_a, truth.invgamma_b
+    const = a * np.log(b) - gammaln(a)
+    nA = 2 * data.n_blocks
+    SA = float(np.sum(anchor_residuals(data)))
+    interior = data.d_x > 2
+    if interior:
+        R, D = _interior_residuals(data, truth)
+        S = np.sum(R ** 2, axis=0)                       # (k,)
+        nM = R.size
+
+    def f(t, etas):
+        etas = np.asarray(etas, dtype=float)[:, None]
+        log_2pi_t = np.log(2.0 * np.pi * t)
+        lp = (const - (a + 1.0) * np.log(t) - b / t
+              - 0.5 * nA * log_2pi_t - SA / (2.0 * t))
+        if interior:
+            # tempering the interior emissions and reintegrating the latents
+            # leaves (2 pi t)^{-(eta-1)nM/2} eta^{-nM/2} N(x_M; m, Sigma + (t/eta)I);
+            # at eta = 0 they drop out and only the anchors remain
+            on = etas > 0
+            eta = np.where(on, etas, 1.0)
+            ridge = D + (t / eta)[..., None]             # (E, G, k)
+            quad = (1.0 / ridge) @ S
+            logdet = data.n_blocks * np.sum(np.log(ridge), axis=-1)
+            lp = lp + np.where(on, (-0.5 * (eta - 1.0) * nM * log_2pi_t
+                                    - 0.5 * nM * np.log(eta)
+                                    - 0.5 * nM * np.log(2.0 * np.pi)
+                                    - 0.5 * logdet - 0.5 * quad), 0.0)
+        return lp
+
+    return f
 
 
 def ssm_log_posterior_phi2(phi2, data: SsmDataset, truth: SsmTruth,
@@ -48,22 +107,7 @@ def ssm_log_posterior_phi2(phi2, data: SsmDataset, truth: SsmTruth,
     if eta < 0:
         raise ParameterError("eta must be nonnegative")
     t = np.atleast_1d(np.asarray(phi2, dtype=float))
-    a, b = truth.invgamma_a, truth.invgamma_b
-    nA = 2 * data.n_blocks
-    SA = float(np.sum((data.x_anchor - data.theta_anchor) ** 2))
-    lp = (a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(t) - b / t
-          - 0.5 * nA * np.log(2.0 * np.pi * t) - SA / (2.0 * t))
-    if eta > 0 and data.d_x > 2:
-        # tempering the interior emissions and reintegrating the latents
-        # leaves (2 pi t)^{-(eta-1)nM/2} eta^{-nM/2} N(x_M; m, Sigma + (t/eta)I)
-        R, D, _ = _interior_residuals(data, truth)
-        nM = R.size
-        ridge = D[None, :] + t[:, None] / eta            # (G, k)
-        quad = np.sum(R ** 2, axis=0) @ (1.0 / ridge.T)  # (G,)
-        logdet = data.n_blocks * np.sum(np.log(ridge), axis=1)
-        lp += (-0.5 * (eta - 1.0) * nM * np.log(2.0 * np.pi * t)
-               - 0.5 * nM * np.log(eta)
-               - 0.5 * nM * np.log(2.0 * np.pi) - 0.5 * logdet - 0.5 * quad)
+    lp = _tempered_log_marginal(data, truth)(t[None, :], [eta])[0]
     return lp if np.ndim(phi2) else float(lp[0])
 
 
@@ -86,18 +130,13 @@ class SsmPhiPosterior:
 
     def block_log_predictive(self, y: SsmDataset) -> np.ndarray:
         """Per-block log predictive density of calibration anchor pairs."""
-        resid2 = np.sum((y.x_anchor - y.theta_anchor) ** 2, axis=1)  # (J,)
-        t = self.phi2
-        per = (-np.log(2.0 * np.pi * t)[None, :]
-               - resid2[:, None] / (2.0 * t)[None, :])               # (J, G)
-        return logsumexp(per + self.log_weights[None, :], axis=1)
+        return anchor_pair_log_predictive(anchor_residuals(y), self.phi2,
+                                          self.log_weights)
 
     def pooled_log_predictive(self, y: SsmDataset) -> float:
-        resid2 = np.sum((y.x_anchor - y.theta_anchor) ** 2, axis=1)
-        t = self.phi2
-        joint = (-len(resid2) * np.log(2.0 * np.pi * t)
-                 - np.sum(resid2) / (2.0 * t))
-        return float(logsumexp(joint + self.log_weights))
+        r = anchor_residuals(y)
+        return float(anchor_pair_log_predictive(np.sum(r), self.phi2,
+                                                self.log_weights, len(r)))
 
     def sample_phi2(self, size: int, seed: int) -> np.ndarray:
         p = np.exp(self.log_weights)
@@ -106,32 +145,71 @@ class SsmPhiPosterior:
         return rng.choice(self.phi2, size=size, p=p)
 
 
+@dataclass(frozen=True)
+class SsmPhiLattice:
+    """Normalized phi^2 posteriors of one dataset at several etas: row i of
+    phi2 and log_density, shape (E, n_grid), is the posterior at etas[i]."""
+
+    etas: np.ndarray
+    phi2: np.ndarray
+    log_density: np.ndarray
+
+    def row(self, i: int) -> SsmPhiPosterior:
+        return SsmPhiPosterior(phi2=self.phi2[i],
+                               log_density=self.log_density[i],
+                               eta=float(self.etas[i]))
+
+    def log_predictive(self, y: SsmDataset, kind: str) -> np.ndarray:
+        """Calibration log predictive of y at every eta, shape (E,):
+        "pooled" scores the joint density of all anchor pairs, "product"
+        sums the per-block densities."""
+        r = anchor_residuals(y)
+        log_w = self.log_density + np.log(np.gradient(self.phi2, axis=1))
+        if kind == "pooled":
+            return anchor_pair_log_predictive(np.sum(r), self.phi2, log_w,
+                                              len(r))
+        if kind != "product":
+            raise ParameterError(f"kind must be pooled or product, got {kind!r}")
+        # one (J, n_grid) array per eta, never an (E, J, n_grid) one
+        return np.array([np.sum(anchor_pair_log_predictive(r, t, w))
+                         for t, w in zip(self.phi2, log_w)])
+
+
+def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth, etas,
+                          n_grid: int = 801) -> SsmPhiLattice:
+    """Locate each eta's phi^2 posterior on a coarse log grid, then refine
+    it on its own log grid of n_grid points; all etas at once."""
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    if np.any(etas < 0):
+        raise ParameterError("eta must be nonnegative")
+    log_post = _tempered_log_marginal(data, truth)
+    n = len(_COARSE)
+    lp = log_post(np.broadcast_to(_COARSE, (len(etas), n)), etas)
+    keep = lp > np.max(lp, axis=1, keepdims=True) - 45.0
+    first = np.argmax(keep, axis=1)
+    last = n - 1 - np.argmax(keep[:, ::-1], axis=1)
+    lo = _COARSE[np.maximum(first - 1, 0)]
+    hi = _COARSE[np.minimum(last + 1, n - 1)]
+    grid = np.exp(np.linspace(np.log(lo), np.log(hi), n_grid, axis=1))
+    lp = log_post(grid, etas)
+    lp -= np.max(lp, axis=1, keepdims=True)
+    norm = np.trapezoid(np.exp(lp), grid, axis=1)
+    return SsmPhiLattice(etas=etas, phi2=grid,
+                         log_density=lp - np.log(norm)[:, None])
+
+
 def build_ssm_phi_posterior(data: SsmDataset, truth: SsmTruth, eta: float,
                             n_grid: int = 801) -> SsmPhiPosterior:
-    """Locate the phi^2 posterior on a coarse log grid, then refine."""
-    coarse = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 500))
-    lp = ssm_log_posterior_phi2(coarse, data, truth, eta)
-    top = np.max(lp)
-    keep = np.where(lp > top - 45.0)[0]
-    lo = coarse[max(keep[0] - 1, 0)]
-    hi = coarse[min(keep[-1] + 1, len(coarse) - 1)]
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), n_grid))
-    lp = ssm_log_posterior_phi2(grid, data, truth, eta)
-    lp -= np.max(lp)
-    norm = np.trapezoid(np.exp(lp), grid)
-    return SsmPhiPosterior(phi2=grid, log_density=lp - np.log(norm), eta=eta)
+    """The phi^2 posterior at one eta: a lattice of one row."""
+    return build_ssm_phi_lattice(data, truth, [eta], n_grid).row(0)
 
 
 def ssm_empirical_losses(data_train: SsmDataset, data_calib: SsmDataset,
                          truth: SsmTruth, etas) -> tuple[np.ndarray, np.ndarray]:
     """(pooled, product) calibration losses across a vector of eta values."""
-    pooled = np.empty(len(etas))
-    product = np.empty(len(etas))
-    for i, eta in enumerate(np.asarray(etas, dtype=float)):
-        post = build_ssm_phi_posterior(data_train, truth, eta)
-        pooled[i] = -post.pooled_log_predictive(data_calib)
-        product[i] = -float(np.sum(post.block_log_predictive(data_calib)))
-    return pooled, product
+    lattice = build_ssm_phi_lattice(data_train, truth, etas)
+    return (-lattice.log_predictive(data_calib, "pooled"),
+            -lattice.log_predictive(data_calib, "product"))
 
 
 def ssm_eta_b_grid_posterior(train: SsmDataset, calib: SsmDataset,
@@ -156,14 +234,11 @@ def ssm_eta_b_grid_posterior(train: SsmDataset, calib: SsmDataset,
                          n_iter=n_iter, burn_in=burn_in, thin=thin,
                          seed=seed, scale_init=scale_init)
     phi2 = np.exp(draws[:, :, 0])                                # (P, T)
-    resid2 = np.sum((calib.x_anchor - calib.theta_anchor) ** 2, axis=1)
-    T = phi2.shape[1]
-    log_pred = np.empty(len(pts))
+    r = anchor_residuals(calib)
+    log_w = -np.log(phi2.shape[1])
     # per lattice point to keep the (J, T) predictive matrix small
-    for i in range(len(pts)):
-        per = (-np.log(2.0 * np.pi * phi2[i])[None, :]
-               - resid2[:, None] / (2.0 * phi2[i])[None, :])     # (J, T)
-        log_pred[i] = float(np.sum(logsumexp(per, axis=1) - np.log(T)))
+    log_pred = np.array([np.sum(anchor_pair_log_predictive(r, t, log_w))
+                         for t in phi2])
     return grid_posterior_from_values("product", grid, log_pred,
                                       np.zeros(len(pts)))
 
@@ -183,7 +258,7 @@ def ssm_eta_b_nested_draws(train: SsmDataset, calib: SsmDataset,
     from .sampling import rwm_batch
 
     target = SsmJointTarget(train, truth)
-    resid2 = np.sum((calib.x_anchor - calib.theta_anchor) ** 2, axis=1)
+    r = anchor_residuals(calib)
 
     def inner_kernel(s, phis, n_steps, sd):
         eta, b = float(s[0]), float(s[1])
@@ -193,8 +268,8 @@ def ssm_eta_b_nested_draws(train: SsmDataset, calib: SsmDataset,
         return draws[:, 0, :]
 
     def block_log_pred(phis):
-        phi2 = np.exp(phis[:, 0])
-        return -np.log(2.0 * np.pi * phi2) - resid2 / (2.0 * phi2)
+        # each block under its own side-chain draw: a mixture of one
+        return anchor_pair_log_predictive(r, np.exp(phis[:, :1]), 0.0)
 
     phi0 = np.tile(target.init_state(), (calib.n_blocks, 1))
     return nested_mcmc_product(lambda s: 0.0, bounds, phi0, inner_kernel,

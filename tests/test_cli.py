@@ -99,6 +99,10 @@ def test_study_fast(tmp_path):
     recs = [json.loads(l) for l in (tmp_path / "study.jsonl").read_text().splitlines()]
     assert len(recs) == 2
     assert {"mean_vs_bayes", "mean_vs_cut"} <= set(recs[0]["risk_ratios"])
+    for rec in recs:
+        logs = rec["mean_log_ratios"]
+        assert set(logs) == set(rec["risk_ratios"])
+        assert all(np.isfinite(v) for v in logs.values())
     summary = (tmp_path / "study_summary.csv").read_text().splitlines()
     assert summary[0] == "comparison,min,q25,median,q75,max,mean"
 
@@ -111,6 +115,9 @@ def test_risk_ratio_command(tmp_path):
     assert rc == EXIT_OK
     rep = json.loads((tmp_path / "risk_ratio.json").read_text())
     assert rep["n_test_sets"] == 3 and np.isfinite(rep["value"])
+    # Jensen: the mean log ratio never exceeds the log of the mean ratio
+    assert np.isfinite(rep["mean_log_ratio"])
+    assert rep["mean_log_ratio"] <= np.log(rep["value"]) + 1e-12
 
 
 @pytest.mark.parametrize("suite", ["conjugate", "mixture", "laplace-aghq"])

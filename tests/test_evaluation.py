@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from gbcal.datasets import ParameterError, SsmTruth, simulate_ssm
-from gbcal.evaluation import (SsmStudyConfig, _ssm_exact_block_integrals,
+from gbcal.datasets import (ParameterError, SsmTruth, simulate_ssm,
+                            split_ssm_blocks)
+from gbcal.evaluation import (SsmStudyConfig, _ssm_eta_posterior,
+                              _ssm_exact_block_integrals,
                               concentration_diagnostics,
                               high_precision_optimal_s, pooled_limit_distance,
                               risk_ratio_pooled, risk_ratio_product,
                               run_ssm_replicate, ssm_exact_block_log_ratio,
                               ssm_replicate_study)
 from gbcal.hypercal import SGrid, grid_posterior_from_values
-from gbcal.ssm import build_ssm_phi_posterior
+from gbcal.sampling import ar1_bridge
+from gbcal.ssm import anchor_pair_log_predictive, build_ssm_phi_posterior
 
 
 def test_risk_ratio_identity_is_one():
@@ -116,6 +119,103 @@ def test_exact_block_expected_log_ratio_matches_monte_carlo():
     assert expected_log == pytest.approx(float(np.mean(d)), abs=4 * se)
     # Jensen: the expected log ratio never exceeds the log expected ratio
     assert expected_log <= log_expected
+
+
+def test_anchor_pair_log_predictive_matches_logsumexp_reference():
+    truth = SsmTruth(phi_M_star=0.5)
+    data = simulate_ssm(truth, 10, 6, seed=4)
+    r = np.random.default_rng(5).chisquare(2, size=300) * 3.0
+    for eta in (0.0, 0.4, 1.0):
+        post = build_ssm_phi_posterior(data, truth, eta)
+        got = anchor_pair_log_predictive(r, post.phi2, post.log_weights)
+        assert np.allclose(got, _block_logp(post, r), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("phi_m, seed, etas", [(1.0, 1, (0.3, 1.0)),
+                                               (0.5, 3, (0.45, 0.0))])
+def test_exact_block_integrals_match_adaptive_quadrature(phi_m, seed, etas):
+    """Gauss-Laguerre against scipy's adaptive quadrature over [0, inf) of
+    the same integrands, for two anchor variances."""
+    from scipy.integrate import quad
+
+    truth = SsmTruth(phi_M_star=phi_m)
+    data = simulate_ssm(truth, 60, 6, seed=seed)
+    p1, p2 = (build_ssm_phi_posterior(data, truth, e) for e in etas)
+
+    def log_diff(r):
+        rr = np.array([r])
+        return float(_block_logp(p1, rr)[0] - _block_logp(p2, rr)[0])
+
+    for anchor_var in (1.0, 0.25):
+        def log_dens(r):
+            return -r / (2 * anchor_var) - np.log(2 * anchor_var)
+
+        expected_ratio, _ = quad(lambda r: np.exp(log_diff(r) + log_dens(r)),
+                                 0.0, np.inf, epsabs=0.0, epsrel=1e-13,
+                                 limit=200)
+        expected_log, _ = quad(lambda r: log_diff(r) * np.exp(log_dens(r)),
+                               0.0, np.inf, epsabs=1e-14, epsrel=1e-13,
+                               limit=200)
+        got = _ssm_exact_block_integrals(p1, p2, anchor_var)
+        assert got[0] == pytest.approx(np.log(expected_ratio), abs=1e-9)
+        assert got[1] == pytest.approx(expected_log, abs=1e-9)
+
+
+def _per_eta_log_pred(train, calib, truth, eta, kind):
+    """Calibration log predictive at one eta, computed independently of the
+    eta-vectorised lattice: the closed-form phi^2 marginal with its own
+    bridge eigendecomposition, located on a 500-point log grid and refined
+    on 801 points, then scored with scipy's logsumexp."""
+    from scipy.special import gammaln
+
+    w_left, w_right, _, V = ar1_bridge(truth, train.d_x)
+    D, U = np.linalg.eigh(V)
+    prior_mean = (train.theta_anchor[:, :1] * w_left
+                  + train.theta_anchor[:, 1:] * w_right)
+    S = np.sum(((train.x_missing - prior_mean) @ U) ** 2, axis=0)
+    nM = train.n_blocks * (train.d_x - 2)
+    a, b = truth.invgamma_a, truth.invgamma_b
+    nA = 2 * train.n_blocks
+    SA = float(np.sum((train.x_anchor - train.theta_anchor) ** 2))
+
+    def log_post(t):
+        lp = (a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(t) - b / t
+              - 0.5 * nA * np.log(2.0 * np.pi * t) - SA / (2.0 * t))
+        if eta > 0:
+            ridge = D[None, :] + t[:, None] / eta
+            lp = lp + (-0.5 * (eta - 1.0) * nM * np.log(2.0 * np.pi * t)
+                       - 0.5 * nM * np.log(eta) - 0.5 * nM * np.log(2 * np.pi)
+                       - 0.5 * train.n_blocks * np.sum(np.log(ridge), axis=1)
+                       - 0.5 * np.sum(S / ridge, axis=1))
+        return lp
+
+    coarse = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 500))
+    lp = log_post(coarse)
+    keep = np.where(lp > np.max(lp) - 45.0)[0]
+    t = np.exp(np.linspace(np.log(coarse[max(keep[0] - 1, 0)]),
+                           np.log(coarse[min(keep[-1] + 1, 499)]), 801))
+    lp = log_post(t)
+    lp -= np.max(lp)
+    log_w = lp - np.log(np.trapezoid(np.exp(lp), t)) + np.log(np.gradient(t))
+    r = np.sum((calib.x_anchor - calib.theta_anchor) ** 2, axis=1)
+    if kind == "pooled":
+        return float(logsumexp(log_w - len(r) * np.log(2 * np.pi * t)
+                               - np.sum(r) / (2 * t)))
+    per = -np.log(2 * np.pi * t)[None, :] - r[:, None] / (2 * t)[None, :]
+    return float(np.sum(logsumexp(per + log_w[None, :], axis=1)))
+
+
+@pytest.mark.parametrize("kind", ["product", "pooled"])
+def test_eta_lattice_matches_per_eta_reference(kind):
+    truth = SsmTruth(phi_M_star=0.5)
+    full = simulate_ssm(truth, 60, 6, seed=8)
+    train, calib = split_ssm_blocks(full, 10, 9)
+    etas = np.array([0.0, 0.5, 20.0, 100.0, 1000.0])
+    grid = SGrid(axes=(etas,), names=("eta",))
+    got = _ssm_eta_posterior(train, calib, truth, grid, kind).log_pred
+    ref = np.array([_per_eta_log_pred(train, calib, truth, e, kind)
+                    for e in etas])
+    assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
 
 
 def test_exact_risk_method_replicate():

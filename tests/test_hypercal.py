@@ -116,13 +116,46 @@ def test_mean_mode_consistency_on_skewed_density():
     assert estimate_posterior_mode(gp).eta == pytest.approx(0.2, abs=5e-3)
 
 
+def _export(gp, path):
+    """(lines, rows) of the exported CSV; every field must parse as a plain
+    number."""
+    gp.export_csv(path)
+    lines = path.read_text().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    return lines, rows
+
+
 def test_export_csv(tmp_path):
     gp = gaussian_grid_posterior(n=11)
-    p = tmp_path / "post.csv"
-    gp.export_csv(p)
-    lines = p.read_text().splitlines()
+    lines, rows = _export(gp, tmp_path / "post.csv")
     assert lines[0] == "s_axis0,log_pred,log_prior,log_post_norm"
     assert len(lines) == 12
+    assert rows.shape == (11, 4)
+    assert np.array_equal(rows[:, 1], gp.log_pred)
+
+
+def test_export_csv_log_post_norm_is_log_density(tmp_path):
+    """log_post_norm is the normalized log density at the lattice nodes,
+    also when the lattice values sit far from zero."""
+    grid = SGrid.regular([(0.0, 1.0)], ["eta"], 11)
+    x = grid.axes[0]
+    gp = grid_posterior_from_values("product", grid,
+                                    -2822.5 - 30.0 * (x - 0.4) ** 2,
+                                    prior_uniform(1.0)(x))
+    _, rows = _export(gp, tmp_path / "post1.csv")
+    assert np.allclose(rows[:, 3], gp.log_density(rows[:, 0]),
+                       rtol=0.0, atol=1e-9)
+
+    grid = SGrid.regular([(0.0, 1.0), (0.5, 2.0)], ["eta", "b"], 6)
+    pts = grid.points()
+    gp = grid_posterior_from_values(
+        "product", grid,
+        -950.0 - 20.0 * (pts[:, 0] - 0.3) ** 2 - 5.0 * (pts[:, 1] - 1.2) ** 2,
+        np.zeros(len(pts)))
+    _, rows = _export(gp, tmp_path / "post2.csv")
+    assert rows.shape == (36, 5)
+    assert np.allclose(rows[:, 4], gp.log_density(rows[:, 0], rows[:, 1]),
+                       rtol=0.0, atol=1e-9)
 
 
 # --- Monte Carlo predictives ------------------------------------------------

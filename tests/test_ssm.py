@@ -181,6 +181,16 @@ def test_eta_b_nested_draws_smoke():
     assert np.all((draws[:, 1] >= 0.3) & (draws[:, 1] <= 1.0))
 
 
+def test_eta_b_nested_draws_rejects_short_outer_chain():
+    """Fewer outer steps than the burn-in is a parameter error, not a
+    numpy shape error."""
+    train, truth = small_data(n_blocks=4, seed=23)
+    calib, _ = small_data(n_blocks=3, seed=24)
+    with pytest.raises(ParameterError, match="burn_in"):
+        ssm_eta_b_nested_draws(train, calib, truth, [(0.1, 1.0), (0.3, 1.0)],
+                               n_outer=150, inner_len=2, seed=25)
+
+
 def test_joint_target_matches_marginal_posterior():
     """Integrating the joint (log phi^2, latents) target over the latents by
     MCMC must reproduce the exact phi^2 marginal."""
