@@ -27,20 +27,9 @@ from scipy.stats import norm
 
 from gbcal.datasets import MixtureTruth, simulate_mixture
 from gbcal.evaluation import concentration_diagnostics
-from gbcal.hypercal import (SGrid, compute_estimator_set,
-                            grid_posterior_from_values, prior_uniform)
+from gbcal.hypercal import SGrid, compute_estimator_set
 from gbcal.oracles import (MixtureStats, mixture_gamma_smi,
-                           mixture_pooled_loss_gamma,
-                           mixture_product_loss_gamma)
-
-
-def gamma_posterior(kind, stats, y1, grid):
-    gvals = grid.axes[0]
-    loss = (mixture_pooled_loss_gamma if kind == "pooled"
-            else mixture_product_loss_gamma)
-    log_pred = np.array([-loss(stats, y1, float(g)) for g in gvals])
-    return grid_posterior_from_values(kind, grid, log_pred,
-                                      prior_uniform(1.0)(gvals))
+                           mixture_grid_posterior)
 
 
 def main(argv=None):
@@ -70,7 +59,7 @@ def main(argv=None):
     pooled_big = None
     for kind in ("product", "pooled"):
         for J in sorted(args.J_ladder):
-            gp = gamma_posterior(kind, stats, calib_pool[:J], grid)
+            gp = mixture_grid_posterior(kind, stats, calib_pool[:J], grid)
             est = compute_estimator_set(gp)
             rows.append((kind, J, est.mean.gamma, est.mode.gamma,
                          float(gp.sd()[0])))

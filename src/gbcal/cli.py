@@ -37,20 +37,29 @@ _KNOWN_KEYS = {
 
 
 def _load_config(args) -> dict:
+    """The config file, then every flag that was given; seed defaults to 0.
+    A resolved config written by another command is rejected."""
     cfg = {}
+    name = args.command.replace("-", "_")
     if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit(_fail(EXIT_CONFIG, f"cannot read config: {exc}"))
+        if not isinstance(cfg, dict):
+            raise SystemExit(_fail(EXIT_CONFIG, "config must be a JSON object"))
+        written_for = cfg.pop("command", name)
+        if written_for != name:
+            raise SystemExit(_fail(EXIT_CONFIG, f"config was resolved for "
+                                   f"{written_for!r}, not {name!r}"))
         unknown = set(cfg) - _KNOWN_KEYS
         if unknown:
             raise SystemExit(_fail(EXIT_CONFIG, f"unknown config keys: {sorted(unknown)}"))
     for key, val in vars(args).items():
         if key in _KNOWN_KEYS and val is not None:
             cfg[key] = val
-    cfg.setdefault("seed", args.seed)
+    cfg.setdefault("seed", 0)
     return cfg
 
 
@@ -65,36 +74,40 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_resolved(out: Path, name: str, cfg: dict, args):
-    resolved = dict(cfg)
-    resolved["seed"] = args.seed
-    resolved["command"] = name
+def _write_resolved(cfg: dict, args) -> Path | None:
+    """Echo the resolved config and return None on --dry-run; otherwise
+    write it as <command>_config.json and return the output directory."""
+    if args.dry_run:
+        print(json.dumps(cfg, indent=2, sort_keys=True))
+        return None
+    out = _outdir(args)
+    name = args.command.replace("-", "_")
     with open(out / f"{name}_config.json", "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
+        json.dump(dict(cfg, command=name), fh, indent=2, sort_keys=True)
+    return out
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     kind = cfg.get("kind", "mixture")
-    out = _outdir(args)
-    if args.dry_run:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
+    out = _write_resolved(cfg, args)
+    if out is None:
         return EXIT_OK
-    _write_resolved(out, "simulate", cfg, args)
-    meta = {"seed": args.seed, "kind": kind}
+    seed = cfg["seed"]
+    meta = {"seed": seed, "kind": kind}
     if kind == "mixture":
         truth = MixtureTruth(lambda_star=cfg.get("lambda_star", 0.9))
         data = datasets.simulate_mixture(truth, cfg.get("n1", 30),
-                                         cfg.get("n2", 60), args.seed)
+                                         cfg.get("n2", 60), seed)
         datasets.write_modular_csv(out / "mixture.csv", data, meta)
     elif kind == "ssm":
         truth = SsmTruth(phi_M_star=cfg.get("phi_M_star", 1.0))
         data = datasets.simulate_ssm(truth, cfg.get("n_blocks", 60),
-                                     cfg.get("d_x", 6), args.seed)
+                                     cfg.get("d_x", 6), seed)
         datasets.write_ssm_csv(out / "ssm.csv", data, meta)
     elif kind == "conjugate":
         data = datasets.simulate_conjugate_normal(cfg.get("mu_star", 0.0),
-                                                  cfg.get("n", 10), args.seed)
+                                                  cfg.get("n", 10), seed)
         with open(out / "conjugate.csv", "w") as fh:
             fh.write("block,pos,value,role\n")
             for i, v in enumerate(data.points):
@@ -109,12 +122,10 @@ def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     kind = cfg.get("kind", "ssm")
     loss = cfg.get("loss", "product")
-    out = _outdir(args)
-    if args.dry_run:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
+    out = _write_resolved(cfg, args)
+    if out is None:
         return EXIT_OK
-    _write_resolved(out, "calibrate", cfg, args)
-    seed = args.seed
+    seed = cfg["seed"]
     if kind == "ssm":
         truth = SsmTruth(phi_M_star=cfg.get("phi_M_star", 1.0))
         full = datasets.simulate_ssm(truth, cfg.get("n_total_blocks", 60),
@@ -134,17 +145,7 @@ def cmd_calibrate(args) -> int:
         grid = hypercal.SGrid.regular([(0.0, cfg.get("eta_upper", 1.0))],
                                       [cfg.get("family", "gamma")],
                                       cfg.get("grid_points", 41))
-        svals = grid.axes[0]
-        if cfg.get("family", "gamma") == "gamma":
-            loss_fn = (mix_oracle.mixture_pooled_loss_gamma if loss == "pooled"
-                       else mix_oracle.mixture_product_loss_gamma)
-        else:
-            loss_fn = (mix_oracle.mixture_pooled_loss_eta if loss == "pooled"
-                       else mix_oracle.mixture_product_loss_eta)
-        log_pred = np.array([-loss_fn(stats, calib.points, float(s))
-                             for s in svals])
-        gp = hypercal.grid_posterior_from_values(
-            loss, grid, log_pred, hypercal.prior_uniform(svals[-1])(svals))
+        gp = mix_oracle.mixture_grid_posterior(loss, stats, calib.points, grid)
     else:
         return _fail(EXIT_CONFIG, f"unknown calibrate kind {kind!r}")
     gp.export_csv(out / "posterior.csv")
@@ -157,24 +158,22 @@ def cmd_calibrate(args) -> int:
 
 def cmd_study(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
-    if args.dry_run:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
+    cfg.setdefault("n_replicates", 20 if args.fast else 100)
+    cfg.setdefault("n_test_sets", 10 if args.fast else 30)
+    out = _write_resolved(cfg, args)
+    if out is None:
         return EXIT_OK
-    _write_resolved(out, "study", cfg, args)
-    n_rep = cfg.get("n_replicates", 20 if args.fast else 100)
-    n_test = cfg.get("n_test_sets", 10 if args.fast else 30)
     config = evaluation.SsmStudyConfig(
         truth=SsmTruth(phi_M_star=cfg.get("phi_M_star", 1.0)),
         n_total_blocks=cfg.get("n_total_blocks", 60),
         n_train_blocks=cfg.get("n_train_blocks", 10),
         d_x=cfg.get("d_x", 6),
-        n_replicates=n_rep, n_test_sets=n_test,
+        n_replicates=cfg["n_replicates"], n_test_sets=cfg["n_test_sets"],
         test_blocks=cfg.get("test_blocks", 100),
         eta_upper=cfg.get("eta_upper", 1.0),
         grid_points=cfg.get("grid_points", 41),
         kind=cfg.get("loss", "product"),
-        risk_method=cfg.get("risk_method", "simulate"), seed=args.seed)
+        risk_method=cfg.get("risk_method", "simulate"), seed=cfg["seed"])
     study = evaluation.ssm_replicate_study(config, jobs=args.jobs)
     study.write_jsonl(out / "study.jsonl")
     study.write_summary_csv(out / "study_summary.csv")
@@ -184,14 +183,13 @@ def cmd_study(args) -> int:
 
 def cmd_risk_ratio(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
-    if args.dry_run:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
+    out = _write_resolved(cfg, args)
+    if out is None:
         return EXIT_OK
-    _write_resolved(out, "risk_ratio", cfg, args)
+    seed = cfg["seed"]
     truth = SsmTruth(phi_M_star=cfg.get("phi_M_star", 1.0))
     full = datasets.simulate_ssm(truth, cfg.get("n_total_blocks", 60),
-                                 cfg.get("d_x", 6), args.seed)
+                                 cfg.get("d_x", 6), seed)
     posts = {}
 
     def block_pred(eta, z):
@@ -200,7 +198,7 @@ def cmd_risk_ratio(args) -> int:
         return posts[eta].block_log_predictive(z)
 
     tests = [datasets.simulate_ssm(truth, cfg.get("test_blocks", 100),
-                                   cfg.get("d_x", 6), args.seed + 7000 + k)
+                                   cfg.get("d_x", 6), seed + 7000 + k)
              for k in range(cfg.get("n_test_sets", 30))]
     rep = evaluation.risk_ratio_product(cfg.get("eta1", 0.5),
                                         cfg.get("eta2", 1.0), tests, block_pred)
@@ -216,6 +214,7 @@ def cmd_risk_ratio(args) -> int:
 def cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
     suite = cfg.get("suite", args.suite or "conjugate")
+    seed = cfg["seed"]
     failures = []
 
     def check(name, ok, detail=""):
@@ -232,7 +231,7 @@ def cmd_oracle_check(args) -> int:
                         (2.0, 4.0): (0.59, 0.71)}
             tol = 0.02 + (0.02 if args.fast else 0.0)
             rows = conj_oracle.interior_probability_table(
-                list(expected), 10, 10, n_rep, args.seed)
+                list(expected), 10, 10, n_rep, seed)
             for row in rows:
                 mu, v = row[0], row[1]
                 p1, p2 = row[4], row[5]
@@ -245,10 +244,10 @@ def cmd_oracle_check(args) -> int:
                     _outdir(args) / "interior_table.csv", rows)
         elif suite == "conjugate":
             stats = conj_oracle.ConjStats.from_data(
-                datasets.simulate_conjugate_normal(0.0, 10, args.seed), 2.0, 1.0)
-            y = datasets.simulate_conjugate_normal(0.0, 3, args.seed + 1)
+                datasets.simulate_conjugate_normal(0.0, 10, seed), 2.0, 1.0)
+            y = datasets.simulate_conjugate_normal(0.0, 3, seed + 1)
             theta, sig2 = conj_oracle.conj_power_sample(stats, 5.0, 10 ** 5,
-                                                        args.seed + 2)
+                                                        seed + 2)
             from scipy.stats import norm
 
             mat = norm.logpdf(y.points[None, :], loc=theta[:, None],
@@ -267,7 +266,7 @@ def cmd_oracle_check(args) -> int:
                   abs(d - fd) < 1e-6 * max(1, abs(d)))
         elif suite == "mixture":
             truth = MixtureTruth()
-            data = datasets.simulate_mixture(truth, 30, 60, args.seed)
+            data = datasets.simulate_mixture(truth, 30, 60, seed)
             stats = mix_oracle.MixtureStats.from_data(data)
             m0, v0 = mix_oracle.mixture_gamma_smi(stats, 0.0)
             check("cut posterior matches module-1-only update",
@@ -281,7 +280,7 @@ def cmd_oracle_check(args) -> int:
             truth = MixtureTruth()
             errs = []
             for n2 in (50, 100, 200):
-                data = datasets.simulate_mixture(truth, 30, n2, args.seed)
+                data = datasets.simulate_mixture(truth, 30, n2, seed)
                 x2 = data.x2.points
                 # evaluating at the conditional mean isolates the curvature
                 # part of the error, which decays cleanly at rate 1/n2
@@ -338,10 +337,10 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int,
+                        help="overrides the config's seed (default 0)")
     common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--out", help="output directory")
-    common.add_argument("--method", choices=["grid", "nested"], default="grid")
     common.add_argument("--fast", action="store_true",
                         help="reduced budgets for quick runs")
     common.add_argument("--dry-run", action="store_true",

@@ -7,7 +7,6 @@ seeds without shared state.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,9 +59,6 @@ class HyperPoint:
         if self.beta is not None:
             return 1.0 / self.beta
         raise ParameterError("no loss exponent set on this point")
-
-    def replace(self, **kw) -> "HyperPoint":
-        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Test-set evaluation: risk ratios, high-precision reference optima,
-replicate studies, and concentration diagnostics.
+"""Test-set evaluation: risk ratios, replicate studies, and concentration
+diagnostics.
 """
 
 from __future__ import annotations
@@ -108,30 +108,6 @@ def ssm_exact_block_log_ratio(post1, post2, anchor_var: float = 1.0) -> float:
     the Monte Carlo error of any affordable number of simulated test sets.
     """
     return _ssm_exact_block_integrals(post1, post2, anchor_var)[0]
-
-
-def high_precision_optimal_s(loss_fn, bounds, n_coarse: int = 81) -> tuple[float, bool]:
-    """Argmin of an empirical calibration loss; returns (s, on_boundary)."""
-    lo, hi = bounds
-    grid = np.linspace(lo, hi, n_coarse)
-    vals = np.array([loss_fn(s) for s in grid])
-    i = int(np.argmin(vals))
-    if i in (0, n_coarse - 1):
-        return float(grid[i]), True
-    a, b = grid[i - 1], grid[i + 1]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = loss_fn(c), loss_fn(d)
-    while (b - a) > 1e-6:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = loss_fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = loss_fn(d)
-    return float((a + b) / 2), False
 
 
 # --- state-space replicate study ------------------------------------------

@@ -10,14 +10,15 @@ estimators summarize either representation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline, UnivariateSpline
 from scipy.special import logsumexp
 
-from .datasets import HyperPoint, ParameterError
+from .datasets import HyperPoint, ParameterError, SimpleDataset
+from .sampling import metropolis_accept
 
 _FINE_1D = 4001
 _FINE_2D = 301
@@ -115,8 +116,7 @@ class GridPosterior:
         axes = self._fine_axes()
         if self.grid.ndim == 1:
             return axes, np.exp(self.log_density(axes[0]))
-        gx, gy = np.meshgrid(*axes, indexing="ij")
-        return axes, np.exp(self.log_density(gx, gy))
+        return axes, np.exp(self._spline(*axes) - self._log_norm)
 
     def normalization_check(self) -> float:
         axes, dens = self._fine_density()
@@ -211,20 +211,14 @@ def grid_posterior_from_values(kind: str, grid: SGrid, log_pred: np.ndarray,
             warnings.warn(f"{int((~ok).sum())} lattice points missing; spline "
                           "fit on the rest")
         spline = CubicSpline(x[ok], log_post[ok], bc_type="natural")
-        fine = np.linspace(x[0], x[-1], _FINE_1D)
-        log_norm = float(np.log(np.trapezoid(np.exp(spline(fine)), fine)))
     else:
         if not np.all(np.isfinite(log_post)):
             raise ParameterError("2-d grids need finite values at every point")
         spline = RectBivariateSpline(grid.axes[0], grid.axes[1], log_post,
                                      kx=3, ky=3, s=0)
-        fx = np.linspace(grid.axes[0][0], grid.axes[0][-1], _FINE_2D)
-        fy = np.linspace(grid.axes[1][0], grid.axes[1][-1], _FINE_2D)
-        vals = np.exp(spline(fx, fy))
-        log_norm = float(np.log(np.trapezoid(np.trapezoid(vals, fy, axis=1), fx)))
-    return GridPosterior(grid=grid, log_pred=log_pred,
-                         log_prior=log_prior + 0.0, kind=kind,
-                         _spline=spline, _log_norm=log_norm, _center=center)
+    gp = GridPosterior(grid=grid, log_pred=log_pred, log_prior=log_prior + 0.0,
+                       kind=kind, _spline=spline, _center=center)
+    return replace(gp, _log_norm=float(np.log(gp.normalization_check())))
 
 
 # --- Monte Carlo predictives ----------------------------------------------
@@ -258,8 +252,6 @@ def log_pointwise_predictive(draws, model, y_j) -> float:
 
 def log_product_predictive(draws, model, y) -> float:
     """Sum over calibration points of log pointwise predictives."""
-    from .datasets import SimpleDataset
-
     pts = y.points if isinstance(y, SimpleDataset) else np.asarray(y, dtype=float)
     mat = _per_draw_log_density(draws, model, pts)
     return float(np.sum(logsumexp(mat, axis=0) - np.log(mat.shape[0])))
@@ -271,8 +263,6 @@ def log_pooled_predictive(draws, model, y) -> float:
     High variance at large J: the average is dominated by few draws, so the
     effective sample size of the implicit weights is checked.
     """
-    from .datasets import SimpleDataset
-
     pts = y.points if isinstance(y, SimpleDataset) else np.asarray(y, dtype=float)
     mat = _per_draw_log_density(draws, model, pts)
     rows = mat.sum(axis=1)
@@ -345,8 +335,7 @@ def nested_mcmc(log_prior_fn, bounds, state0, inner_refresh, log_calib,
     scale = np.asarray(prop_scale, dtype=float) if prop_scale is not None \
         else (hi - lo) / 10.0
     log_s_adapt = 0.0
-    state = state0
-    state = inner_refresh(s, state, int(rng.integers(2 ** 63)))
+    state = inner_refresh(s, state0, int(rng.integers(2 ** 63)))
     cur_calib = float(log_calib(state))
     cur_prior = float(log_prior_fn(tuple(s) if d > 1 else s[0]))
     draws = np.empty((n_outer - burn_in, d))
@@ -355,47 +344,19 @@ def nested_mcmc(log_prior_fn, bounds, state0, inner_refresh, log_calib,
         prop = _reflect(s + np.exp(log_s_adapt) * scale * rng.standard_normal(d),
                         lo, hi)
         prop_prior = float(log_prior_fn(tuple(prop) if d > 1 else prop[0]))
+        log_alpha = -np.inf
         if np.isfinite(prop_prior):
             new_state = inner_refresh(prop, state, int(rng.integers(2 ** 63)))
             new_calib = float(log_calib(new_state))
             log_alpha = (prop_prior - cur_prior) + (new_calib - cur_calib)
-            alpha = np.exp(min(0.0, log_alpha))
-        else:
-            alpha = 0.0
-        if rng.random() < alpha:
+        accepted, log_s_adapt = metropolis_accept(log_alpha, log_s_adapt, t,
+                                                  burn_in, 0.234, rng)
+        if accepted:
             s, state, cur_calib, cur_prior = prop, new_state, new_calib, prop_prior
             n_acc += 1
-        if t < burn_in:
-            log_s_adapt += (t + 1.0) ** -0.6 * (alpha - 0.234)
-        else:
+        if t >= burn_in:
             draws[t - burn_in] = s
     return draws, n_acc / n_outer
-
-
-def nested_mcmc_product(log_prior_fn, bounds, phi0: np.ndarray, inner_kernel,
-                        block_log_pred, n_outer: int, inner_len: int,
-                        seed: int, **kw):
-    """Product-loss nested sampler: one side chain per calibration block.
-
-    inner_kernel(s, phis (J, d), n_steps, seed) -> refreshed phis;
-    block_log_pred(phis) -> per-block log p(y_j | phi_j).
-    """
-    refresh = lambda s, st, sd: inner_kernel(s, st, inner_len, sd)
-    calib = lambda st: float(np.sum(block_log_pred(st)))
-    return nested_mcmc(log_prior_fn, bounds, np.asarray(phi0, dtype=float),
-                       refresh, calib, n_outer, seed, **kw)
-
-
-def nested_mcmc_pooled(log_prior_fn, bounds, phi0: np.ndarray, inner_kernel,
-                       pooled_log_pred, n_outer: int, inner_len: int,
-                       seed: int, **kw):
-    """Pooled-loss nested sampler: a single side chain and the joint
-    calibration density ratio."""
-    phi0 = np.atleast_2d(np.asarray(phi0, dtype=float))
-    refresh = lambda s, st, sd: inner_kernel(s, st, inner_len, sd)
-    calib = lambda st: float(pooled_log_pred(st[0]))
-    return nested_mcmc(log_prior_fn, bounds, phi0, refresh, calib,
-                       n_outer, seed, **kw)
 
 
 # --- estimators -----------------------------------------------------------
@@ -407,7 +368,6 @@ class EstimatorSet:
     harmonic_mean: HyperPoint | None = None
     kl: HyperPoint | None = None
     waic: HyperPoint | None = None
-    mc_se: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         out = {}
@@ -416,7 +376,6 @@ class EstimatorSet:
             if hp is None:
                 continue
             out[name] = {k: v for k, v in vars(hp).items() if v is not None}
-        out["mc_se"] = dict(self.mc_se)
         return out
 
 
@@ -456,7 +415,7 @@ def estimate_posterior_mode(gp: GridPosterior, tie_tol: float = 1e-9) -> HyperPo
         i = idx
         lo = x[max(i - 1, 0)]
         hi = x[min(i + 1, len(x) - 1)]
-        best = _golden_max_1d(lambda t: gp.log_density(t), lo, hi)
+        best = golden_max(lambda t: gp.log_density(t), lo, hi)
         # refinement must not move off a flat stretch or a grid maximum
         if gp.log_density(x[i]) >= gp.log_density(best) - tie_tol and x[i] < best:
             best = float(x[i])
@@ -466,14 +425,16 @@ def estimate_posterior_mode(gp: GridPosterior, tie_tol: float = 1e-9) -> HyperPo
     for _ in range(3):
         lo = axes[0][max(ix - 1, 0)]
         hi = axes[0][min(ix + 1, len(axes[0]) - 1)]
-        cx = _golden_max_1d(lambda t: gp.log_density(t, cy), lo, hi)
+        cx = golden_max(lambda t: gp.log_density(t, cy), lo, hi)
         lo = axes[1][max(iy - 1, 0)]
         hi = axes[1][min(iy + 1, len(axes[1]) - 1)]
-        cy = _golden_max_1d(lambda t: gp.log_density(cx, t), lo, hi)
+        cy = golden_max(lambda t: gp.log_density(cx, t), lo, hi)
     return gp.to_hyperpoint([cx, cy])
 
 
-def _golden_max_1d(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Golden-section maximizer of a unimodal f on [lo, hi]; stops when the
+    bracket is below tol relative to max(1, |a| + |b|)."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -542,8 +503,7 @@ def kl_estimator(gp: GridPosterior, predictive_sampler, predictive_logpdf,
         best = float(fine[np.argmax(sm(fine))])
     except Exception:
         best = float(cand[np.argmax(w)])
-    return gp.to_hyperpoint([best] + [np.nan] * (gp.grid.ndim - 1)) \
-        if gp.grid.ndim == 1 else gp.to_hyperpoint([best, np.nan])
+    return gp.to_hyperpoint([best] + [np.nan] * (gp.grid.ndim - 1))
 
 
 def waic_estimator(grid: SGrid, draws_per_s, model, x):
@@ -554,8 +514,6 @@ def waic_estimator(grid: SGrid, draws_per_s, model, x):
     the pointwise log densities.  A warning fires when many points carry
     variance above 0.4, where the penalty is known to be unreliable.
     """
-    from .datasets import SimpleDataset
-
     pts = x.points if isinstance(x, SimpleDataset) else np.asarray(x, dtype=float)
     lattice = grid.points()
     waic = np.empty(len(lattice))

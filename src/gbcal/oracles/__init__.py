@@ -18,6 +18,7 @@ from .mixture import (
     mixture_conditional_theta,
     mixture_eta_smi,
     mixture_gamma_smi,
+    mixture_grid_posterior,
     mixture_optimal_gamma,
     mixture_pooled_loss_eta,
     mixture_pooled_loss_gamma,

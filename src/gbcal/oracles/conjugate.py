@@ -21,6 +21,7 @@ import numpy as np
 from scipy import special, stats
 
 from ..datasets import ParameterError, SimpleDataset
+from ..hypercal import golden_max
 
 
 @dataclass(frozen=True)
@@ -193,27 +194,6 @@ class OptimalR:
 
 
 _R_MAX = 1e6
-
-
-def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-8) -> float:
-    """Golden-section maximizer on [lo, hi] (log-spaced internally)."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = np.log(lo), np.log(hi)
-    c = b_ - invphi * (b_ - a_)
-    d = a_ + invphi * (b_ - a_)
-    fc, fd = f(np.exp(c)), f(np.exp(d))
-    while (b_ - a_) > rel_tol:
-        if fc > fd:
-            b_, d, fd = d, c, fc
-            c = b_ - invphi * (b_ - a_)
-            fc = f(np.exp(c))
-        else:
-            a_, c, fc = c, d, fd
-            d = a_ + invphi * (b_ - a_)
-            fd = f(np.exp(d))
-    return float(np.exp((a_ + b_) / 2.0))
-
-
 _GH_NODES = 61
 
 
@@ -277,7 +257,10 @@ def conj_optimal_r(kind: str, stats_: ConjStats, y=None, r_bracket=None) -> Opti
         best_r = lo * (1 + 1e-6) if lo > 0 else 1e-6
         best_f = f(best_r)
     for s_lo, s_hi in zip([lo] + list(starts), list(starts) + [hi]):
-        cand = _golden_max(f, max(s_lo, stats_.r0 + 1e-9), s_hi)
+        # golden-section search in log r
+        cand = float(np.exp(golden_max(lambda x: f(np.exp(x)),
+                                       np.log(max(s_lo, stats_.r0 + 1e-9)),
+                                       np.log(s_hi), tol=1e-8)))
         fc = f(cand)
         if fc > best_f:
             best_r, best_f = cand, fc

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .. import hypercal
 from ..datasets import ModularDataset, ParameterError
 
 
@@ -143,6 +144,29 @@ def mixture_product_loss_gamma(stats: MixtureStats, y1, gamma: float) -> float:
 def mixture_product_loss_eta(stats: MixtureStats, y1, eta: float) -> float:
     mu, var = mixture_eta_smi(stats, eta)
     return _product_loss_from_posterior(mu, var, stats.sigma1_sq, y1)
+
+
+def mixture_grid_posterior(kind: str, stats: MixtureStats, y1,
+                           grid) -> hypercal.GridPosterior:
+    """Lattice posterior of the module-2 weight from calibration data y1.
+
+    The axis name of the 1-d grid picks the family: "gamma" (the weight on
+    the module-2 marginal) or "eta" (the tempering of the module-2
+    likelihood).  kind is "product" or "pooled"; the prior is uniform on
+    the grid range.
+    """
+    losses = {("gamma", "product"): mixture_product_loss_gamma,
+              ("gamma", "pooled"): mixture_pooled_loss_gamma,
+              ("eta", "product"): mixture_product_loss_eta,
+              ("eta", "pooled"): mixture_pooled_loss_eta}
+    loss = losses.get((grid.names[0], kind))
+    if loss is None:
+        raise ParameterError(f"no mixture loss for family {grid.names[0]!r} "
+                             f"and kind {kind!r}")
+    s = grid.axes[0]
+    log_pred = np.array([-loss(stats, y1, float(v)) for v in s])
+    return hypercal.grid_posterior_from_values(
+        kind, grid, log_pred, hypercal.prior_uniform(s[-1])(s))
 
 
 def mixture_optimal_gamma(kind: str, stats: MixtureStats) -> float:

@@ -1,12 +1,12 @@
-"""MCMC machinery: adaptive random-walk Metropolis (single and batched),
-two-stage semi-modular sampling, and exact Gaussian conditionals for the
-state-space missing latents.
+"""MCMC machinery: adaptive random-walk Metropolis (one batched chain loop
+and one accept-and-adapt step), two-stage semi-modular sampling, and exact
+Gaussian conditionals for the state-space missing latents.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ class ChainConfig:
     thin: int = 10
     target_accept: float | None = None  # default 0.44 in 1-d, 0.234 otherwise
     init: np.ndarray | float = 0.0
-    adapt_window: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -74,69 +73,41 @@ def ess_initial_positive(x: np.ndarray) -> float:
     return float(min(m, m / tau))
 
 
-def _default_target(d: int) -> float:
-    return 0.44 if d == 1 else 0.234
-
-
 def adaptive_rwm(log_target, config: ChainConfig) -> Chain:
-    """Random-walk Metropolis with Robbins-Monro scale adaptation.
+    """Random-walk Metropolis on one chain: rwm_batch with a batch of one.
 
-    A single global proposal scale (on the log scale) is steered toward the
-    target acceptance rate during burn-in, on top of per-coordinate spread
-    estimates learned from the history; both are frozen once burn-in ends, so
-    the retained draws come from a fixed Markov kernel.
+    log_target takes a scalar in 1-d and a vector otherwise.  The proposal
+    scale adapts during burn-in and is frozen after it, so the retained
+    draws come from a fixed Markov kernel.
     """
     init = np.atleast_1d(np.asarray(config.init, dtype=float))
     d = len(init)
-    target = config.target_accept or _default_target(d)
-    rng = np.random.default_rng(config.seed)
-
-    cur = init.copy()
-    cur_lp = float(log_target(cur if d > 1 else cur[0]))
-    if not np.isfinite(cur_lp):
-        raise ParameterError(f"log_target not finite at init {init}: {cur_lp}")
-
-    log_s = 0.0
-    mean_est = cur.copy()
-    var_est = np.ones(d)
-    n_keep = (config.n_iter - config.burn_in) // config.thin
-    draws = np.empty((n_keep, d))
-    lp_trace = np.empty(n_keep)
-    n_acc = 0
-    window_acc = 0
-    kept = 0
-    for t in range(config.n_iter):
-        step = np.exp(log_s) * np.sqrt(var_est) * rng.standard_normal(d)
-        prop = cur + step
-        prop_lp = float(log_target(prop if d > 1 else prop[0]))
-        if np.isnan(prop_lp):
-            raise ParameterError(f"log_target returned NaN at {prop}")
-        alpha = min(1.0, np.exp(min(0.0, prop_lp - cur_lp)))
-        if rng.random() < alpha:
-            cur, cur_lp = prop, prop_lp
-            n_acc += 1
-            window_acc += 1
-        if t < config.burn_in:
-            gamma = (t + 1.0) ** -0.6
-            log_s += gamma * (alpha - target)
-            delta = cur - mean_est
-            mean_est += delta / (t + 2.0)
-            var_est += gamma * (delta * (cur - mean_est) - var_est)
-            var_est = np.maximum(var_est, 1e-12)
-            if (t + 1) % config.adapt_window == 0:
-                if window_acc == 0:
-                    warnings.warn("no acceptances over a full adaptation window; "
-                                  "proposal scale may be collapsing")
-                window_acc = 0
-        else:
-            k = t - config.burn_in
-            if k % config.thin == 0 and kept < n_keep:
-                draws[kept] = cur
-                lp_trace[kept] = cur_lp
-                kept += 1
+    one = log_target if d > 1 else (lambda x: log_target(x[0]))
+    draws, acc = rwm_batch(lambda st: [one(st[0])], init[None, :],
+                           config.n_iter, config.burn_in, config.thin,
+                           config.seed, config.target_accept)
+    draws = draws[0]
+    lp_trace = np.array([float(one(x)) for x in draws])
     ess = np.array([ess_initial_positive(draws[:, j]) for j in range(d)])
-    return Chain(draws=draws, accept_rate=n_acc / config.n_iter,
-                 log_density_trace=lp_trace, seed=config.seed, ess_estimate=ess)
+    return Chain(draws=draws, accept_rate=float(acc[0]),
+                 log_density_trace=lp_trace, seed=config.seed,
+                 ess_estimate=ess)
+
+
+def metropolis_accept(log_alpha, log_s, t: int, burn_in: int, target: float,
+                      rng):
+    """Accept where a uniform falls below alpha = min(1, exp(log_alpha)),
+    one per entry; during burn-in move the log proposal scale log_s by
+    (t+1)^-0.6 (alpha - target), the Robbins-Monro rule of Andrieu & Thoms
+    (2008).  Shared by every Metropolis loop here.  Returns (accepted, log_s).
+    """
+    if np.any(np.isnan(log_alpha)):
+        raise ParameterError("log target or calibration score returned NaN")
+    alpha = np.exp(np.minimum(0.0, log_alpha))
+    accepted = rng.random(np.shape(alpha)) < alpha
+    if t < burn_in:
+        log_s = log_s + (t + 1.0) ** -0.6 * (alpha - target)
+    return accepted, log_s
 
 
 def rwm_batch(log_target_batch, init: np.ndarray, n_iter: int, burn_in: int,
@@ -151,7 +122,7 @@ def rwm_batch(log_target_batch, init: np.ndarray, n_iter: int, burn_in: int,
     """
     init = np.asarray(init, dtype=float)
     B, d = init.shape
-    target = target_accept or _default_target(d)
+    target = target_accept or (0.44 if d == 1 else 0.234)
     rng = np.random.default_rng(seed)
     cur = init.copy()
     cur_lp = np.asarray(log_target_batch(cur), dtype=float)
@@ -165,20 +136,14 @@ def rwm_batch(log_target_batch, init: np.ndarray, n_iter: int, burn_in: int,
     for t in range(n_iter):
         prop = cur + np.exp(log_s)[:, None] * rng.standard_normal((B, d))
         prop_lp = np.asarray(log_target_batch(prop), dtype=float)
-        if np.any(np.isnan(prop_lp)):
-            raise ParameterError("log_target returned NaN")
-        alpha = np.exp(np.minimum(0.0, prop_lp - cur_lp))
-        acc = rng.random(B) < alpha
+        acc, log_s = metropolis_accept(prop_lp - cur_lp, log_s, t, burn_in,
+                                       target, rng)
         cur[acc] = prop[acc]
         cur_lp[acc] = prop_lp[acc]
         n_acc += acc
-        if t < burn_in:
-            log_s += (t + 1.0) ** -0.6 * (alpha - target)
-        else:
-            k = t - burn_in
-            if k % thin == 0 and kept < n_keep:
-                draws[:, kept] = cur
-                kept += 1
+        if t >= burn_in and (t - burn_in) % thin == 0 and kept < n_keep:
+            draws[:, kept] = cur
+            kept += 1
     return draws, n_acc / n_iter
 
 

@@ -138,12 +138,6 @@ class SsmPhiPosterior:
         return float(anchor_pair_log_predictive(np.sum(r), self.phi2,
                                                 self.log_weights, len(r)))
 
-    def sample_phi2(self, size: int, seed: int) -> np.ndarray:
-        p = np.exp(self.log_weights)
-        p /= p.sum()
-        rng = np.random.default_rng(seed)
-        return rng.choice(self.phi2, size=size, p=p)
-
 
 @dataclass(frozen=True)
 class SsmPhiLattice:
@@ -254,27 +248,27 @@ def ssm_eta_b_nested_draws(train: SsmDataset, calib: SsmDataset,
     batched Metropolis steps per outer proposal.  Returns
     (draws (n_kept, 2), accept_rate).
     """
-    from .hypercal import nested_mcmc_product
+    from .hypercal import nested_mcmc
     from .sampling import rwm_batch
 
     target = SsmJointTarget(train, truth)
     r = anchor_residuals(calib)
 
-    def inner_kernel(s, phis, n_steps, sd):
+    def inner_refresh(s, phis, sd):
         eta, b = float(s[0]), float(s[1])
         draws, _ = rwm_batch(lambda st: target(st, eta, beta=1.0 / b),
-                             phis, n_iter=n_steps, burn_in=n_steps - 1,
+                             phis, n_iter=inner_len, burn_in=inner_len - 1,
                              thin=1, seed=sd, scale_init=scale_init)
         return draws[:, 0, :]
 
-    def block_log_pred(phis):
+    def log_calib(phis):
         # each block under its own side-chain draw: a mixture of one
-        return anchor_pair_log_predictive(r, np.exp(phis[:, :1]), 0.0)
+        return float(np.sum(anchor_pair_log_predictive(r, np.exp(phis[:, :1]),
+                                                       0.0)))
 
     phi0 = np.tile(target.init_state(), (calib.n_blocks, 1))
-    return nested_mcmc_product(lambda s: 0.0, bounds, phi0, inner_kernel,
-                               block_log_pred, n_outer=n_outer,
-                               inner_len=inner_len, seed=seed)
+    return nested_mcmc(lambda s: 0.0, bounds, phi0, inner_refresh, log_calib,
+                       n_outer=n_outer, seed=seed)
 
 
 class SsmJointTarget:

@@ -21,7 +21,7 @@ from gbcal.evaluation import (SsmStudyConfig, pooled_limit_distance,
                               run_ssm_replicate, ssm_replicate_study)
 from gbcal.hypercal import (SGrid, grid_posterior_from_values,
                             harmonic_mean_estimator, kl_estimator,
-                            nested_mcmc_product, prior_uniform)
+                            prior_uniform)
 from gbcal.oracles import (ConjStats, MixtureStats, aghq_marginal,
                            conj_pooled_log_predictive, conj_power_posterior,
                            conj_power_sample, conj_product_log_predictive,

@@ -43,9 +43,10 @@ def test_unknown_config_key_rejected(tmp_path):
 
 def test_malformed_config_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
-    assert rc == EXIT_CONFIG
+    for text in ("{not json", "[1, 2]"):
+        cfg.write_text(text)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
 
 
 def test_unknown_simulate_kind(tmp_path):
@@ -61,6 +62,37 @@ def test_dry_run_prints_config_without_outputs(tmp_path, capsys):
     echoed = json.loads(capsys.readouterr().out)
     assert echoed["seed"] == 0
     assert not (tmp_path / "sub" / "mixture.csv").exists()
+
+
+def test_config_seed_used_unless_flag_given(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    for sub, flags, want in (("a", [], 5), ("b", ["--seed", "7"], 7),
+                             ("c", ["--seed", "5"], 5)):
+        rc = main(["simulate", "--config", str(cfg), "--out",
+                   str(tmp_path / sub)] + flags)
+        assert rc == EXIT_OK
+        resolved = json.loads((tmp_path / sub / "simulate_config.json").read_text())
+        assert resolved["seed"] == want
+    a = read_modular_csv(tmp_path / "a" / "mixture.csv")
+    b = read_modular_csv(tmp_path / "b" / "mixture.csv")
+    c = read_modular_csv(tmp_path / "c" / "mixture.csv")
+    assert np.array_equal(a.x1.points, c.x1.points)
+    assert not np.array_equal(a.x1.points, b.x1.points)
+
+
+def test_method_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--method", "nested", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "posterior.csv").exists()
+
+
+def test_config_of_another_command_rejected(tmp_path):
+    assert main(["simulate", "--out", str(tmp_path)]) == EXIT_OK
+    rc = main(["calibrate", "--config", str(tmp_path / "simulate_config.json"),
+               "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
 
 
 def test_calibrate_mixture(tmp_path):
@@ -105,6 +137,29 @@ def test_study_fast(tmp_path):
         assert all(np.isfinite(v) for v in logs.values())
     summary = (tmp_path / "study_summary.csv").read_text().splitlines()
     assert summary[0] == "comparison,min,q25,median,q75,max,mean"
+
+
+def test_study_fast_dry_run_resolves_sizes(capsys):
+    assert main(["study", "--fast", "--dry-run"]) == EXIT_OK
+    echoed = json.loads(capsys.readouterr().out)
+    assert echoed == {"seed": 0, "n_replicates": 20, "n_test_sets": 10}
+
+
+def test_study_replays_from_resolved_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_total_blocks": 20, "n_train_blocks": 5,
+                               "test_blocks": 20, "grid_points": 9,
+                               "seed": 4}))
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["study", "--config", str(cfg), "--out", str(first),
+                 "--fast"]) == EXIT_OK
+    resolved = json.loads((first / "study_config.json").read_text())
+    assert resolved["n_replicates"] == 20 and resolved["n_test_sets"] == 10
+    assert resolved["seed"] == 4
+    assert main(["study", "--config", str(first / "study_config.json"),
+                 "--out", str(replay)]) == EXIT_OK
+    assert ((first / "study.jsonl").read_bytes()
+            == (replay / "study.jsonl").read_bytes())
 
 
 def test_risk_ratio_command(tmp_path):

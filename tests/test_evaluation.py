@@ -8,8 +8,7 @@ from gbcal.datasets import (ParameterError, SsmTruth, simulate_ssm,
                             split_ssm_blocks)
 from gbcal.evaluation import (SsmStudyConfig, _ssm_eta_posterior,
                               _ssm_exact_block_integrals,
-                              concentration_diagnostics,
-                              high_precision_optimal_s, pooled_limit_distance,
+                              concentration_diagnostics, pooled_limit_distance,
                               risk_ratio_pooled, risk_ratio_product,
                               run_ssm_replicate, ssm_exact_block_log_ratio,
                               ssm_replicate_study)
@@ -232,17 +231,6 @@ def test_exact_risk_method_replicate():
 def test_unknown_risk_method_rejected():
     with pytest.raises(ParameterError):
         SsmStudyConfig(risk_method="bogus")
-
-
-def test_high_precision_optimal_s_quadratic():
-    s, boundary = high_precision_optimal_s(lambda s: (s - 0.37) ** 2, (0.0, 1.0))
-    assert not boundary
-    assert s == pytest.approx(0.37, abs=1e-5)
-
-
-def test_high_precision_optimal_s_boundary():
-    s, boundary = high_precision_optimal_s(lambda s: -s, (0.0, 1.0))
-    assert boundary and s == 1.0
 
 
 def test_config_hash_changes_with_fields():

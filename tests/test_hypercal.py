@@ -8,7 +8,7 @@ from gbcal.hypercal import (GridPosterior, SGrid, build_grid_posterior,
                             estimate_posterior_mode, grid_posterior_from_values,
                             harmonic_mean_estimator, kl_estimator,
                             log_pointwise_predictive, log_pooled_predictive,
-                            log_product_predictive, nested_mcmc_product,
+                            log_product_predictive, nested_mcmc,
                             prior_exponential, prior_improper_flat,
                             prior_uniform, waic_estimator)
 from gbcal.losses import gaussian_model
@@ -311,6 +311,15 @@ def test_waic_estimator_gaussian_location():
     assert lo <= hp.eta <= hi
 
 
+def test_nested_mcmc_rejects_nan_calibration_score():
+    # a NaN score used to be accepted, after which every proposal was
+    with pytest.raises(ParameterError, match="NaN"):
+        nested_mcmc(lambda s: 0.0, [(0.0, 1.0)], np.zeros(1),
+                    lambda s, state, seed: state + s,
+                    lambda state: np.nan if state[0] > 0.7 else 0.0,
+                    n_outer=300, seed=1)
+
+
 def test_nested_mcmc_product_matches_grid_posterior():
     """Exactly solvable case: phi | s has a Gaussian tempered posterior and
     the calibration density is Gaussian, so the lattice posterior is exact.
@@ -328,18 +337,17 @@ def test_nested_mcmc_product_matches_grid_posterior():
     gp = grid_posterior_from_values("product", grid, log_pred,
                                     prior_uniform(1.0)(etas))
 
-    def inner_kernel(s, phis, n_steps, seed):
+    def inner_refresh(s, phis, seed):
         # exact refresh: draw each phi_j from its tempered posterior at s
         r = np.random.default_rng(seed)
         return xbar + r.standard_normal(phis.shape) / np.sqrt(n * s[0])
 
-    def block_log_pred(phis):
-        return stats.norm.logpdf(y, loc=phis[:, 0], scale=1.0)
+    def log_calib(phis):
+        return float(np.sum(stats.norm.logpdf(y, loc=phis[:, 0], scale=1.0)))
 
-    draws, acc = nested_mcmc_product(prior_uniform(1.0), [(0.05, 1.0)],
-                                     np.zeros((J, 1)), inner_kernel,
-                                     block_log_pred, n_outer=6000,
-                                     inner_len=1, seed=7)
+    draws, acc = nested_mcmc(prior_uniform(1.0), [(0.05, 1.0)],
+                             np.zeros((J, 1)), inner_refresh, log_calib,
+                             n_outer=6000, seed=7)
     ref = gp.sample(6000, seed=8)[:, 0]
     ks = stats.ks_2samp(draws[:, 0], ref).statistic
     assert 0.1 < acc < 0.9

@@ -77,6 +77,21 @@ def test_adaptive_rwm_rejects_bad_targets():
         adaptive_rwm(lambda t: np.nan, ChainConfig(n_iter=100, burn_in=10, init=1.0))
 
 
+def test_adaptive_rwm_is_one_chain_of_rwm_batch():
+    cfg = ChainConfig(n_iter=3000, burn_in=1000, thin=3, init=[0.5, -0.5],
+                      seed=11)
+    P = np.array([[2.0, 0.6], [0.6, 1.0]])
+    log_target = lambda t: -0.5 * t @ P @ t
+    chain = adaptive_rwm(log_target, cfg)
+    draws, acc = rwm_batch(lambda st: [log_target(x) for x in st],
+                           np.array([[0.5, -0.5]]), n_iter=3000, burn_in=1000,
+                           thin=3, seed=11)
+    assert np.array_equal(chain.draws, draws[0])
+    assert chain.accept_rate == acc[0]
+    assert np.array_equal(chain.log_density_trace,
+                          [log_target(x) for x in draws[0]])
+
+
 def test_chain_dump_csv(tmp_path):
     cfg = ChainConfig(n_iter=500, burn_in=100, thin=2, seed=0)
     chain = adaptive_rwm(lambda t: -0.5 * t * t, cfg)
