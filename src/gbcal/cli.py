@@ -27,18 +27,42 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_KNOWN_KEYS = {
-    "kind", "lambda_star", "n1", "n2", "n_blocks", "d_x", "phi_M_star", "n",
-    "mu_star", "loss", "family", "eta_upper", "b_upper", "grid_points",
-    "n_train_blocks", "n_total_blocks", "n_replicates", "n_test_sets",
-    "test_blocks", "eta1", "eta2", "prior", "suite", "table_n_rep", "J",
-    "risk_method", "seed",
+# The config keys each command reads, per kind (simulate and calibrate) or
+# suite (oracle-check); study and risk-ratio have one kind, None.  seed and
+# the kind key itself are accepted everywhere they apply; any other key
+# exits 2 rather than being dropped.
+_SSM_DATA = {"phi_M_star", "n_total_blocks", "d_x"}
+_CONFIG_KEYS = {
+    "simulate": ("kind", "mixture", {
+        "mixture": {"lambda_star", "n1", "n2"},
+        "ssm": {"phi_M_star", "n_blocks", "d_x"},
+        "conjugate": {"mu_star", "n"},
+    }),
+    "calibrate": ("kind", "ssm", {
+        "ssm": _SSM_DATA | {"loss", "n_train_blocks", "eta_upper",
+                            "grid_points"},
+        "mixture": {"loss", "lambda_star", "n1", "n2", "J", "family",
+                    "eta_upper", "grid_points"},
+    }),
+    "study": (None, None, {
+        None: _SSM_DATA | {"n_train_blocks", "n_replicates", "n_test_sets",
+                           "test_blocks", "eta_upper", "grid_points", "loss",
+                           "risk_method"},
+    }),
+    "risk_ratio": (None, None, {
+        None: _SSM_DATA | {"test_blocks", "n_test_sets", "eta1", "eta2"},
+    }),
+    "oracle_check": ("suite", "conjugate", {
+        "conjugate": set(), "mixture": set(), "laplace-aghq": set(),
+        "table-f1": {"table_n_rep"},
+    }),
 }
 
 
 def _load_config(args) -> dict:
-    """The config file, then every flag that was given; seed defaults to 0.
-    A resolved config written by another command is rejected."""
+    """The config file, then the --seed flag (and oracle-check's suite);
+    seed defaults to 0.  A resolved config written by another command, an
+    unknown kind and a key the command and kind do not read are rejected."""
     cfg = {}
     name = args.command.replace("-", "_")
     if args.config:
@@ -53,12 +77,21 @@ def _load_config(args) -> dict:
         if written_for != name:
             raise SystemExit(_fail(EXIT_CONFIG, f"config was resolved for "
                                    f"{written_for!r}, not {name!r}"))
-        unknown = set(cfg) - _KNOWN_KEYS
-        if unknown:
-            raise SystemExit(_fail(EXIT_CONFIG, f"unknown config keys: {sorted(unknown)}"))
-    for key, val in vars(args).items():
-        if key in _KNOWN_KEYS and val is not None:
-            cfg[key] = val
+    for key in ("seed", "suite"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    kind_key, default, kinds = _CONFIG_KEYS[name]
+    kind = cfg.get(kind_key, default)
+    try:
+        keys = kinds[kind]
+    except (KeyError, TypeError):
+        raise SystemExit(_fail(EXIT_CONFIG, f"unknown {args.command} "
+                               f"{kind_key} {kind!r}")) from None
+    unknown = set(cfg) - keys - {"seed", kind_key}
+    if unknown:
+        what = f"{args.command} {kind}" if kind_key else args.command
+        raise SystemExit(_fail(EXIT_CONFIG, f"config keys not read by "
+                               f"{what}: {sorted(unknown)}"))
     cfg.setdefault("seed", 0)
     return cfg
 
@@ -105,15 +138,13 @@ def cmd_simulate(args) -> int:
         data = datasets.simulate_ssm(truth, cfg.get("n_blocks", 60),
                                      cfg.get("d_x", 6), seed)
         datasets.write_ssm_csv(out / "ssm.csv", data, meta)
-    elif kind == "conjugate":
+    else:                                       # conjugate
         data = datasets.simulate_conjugate_normal(cfg.get("mu_star", 0.0),
                                                   cfg.get("n", 10), seed)
         with open(out / "conjugate.csv", "w") as fh:
             fh.write("block,pos,value,role\n")
             for i, v in enumerate(data.points):
                 fh.write(f"{i},0,{float(v)!r},x1\n")
-    else:
-        return _fail(EXIT_CONFIG, f"unknown simulate kind {kind!r}")
     print(f"wrote {kind} dataset to {out}", file=sys.stderr)
     return EXIT_OK
 
@@ -135,7 +166,7 @@ def cmd_calibrate(args) -> int:
         grid = hypercal.SGrid.regular([(0.0, cfg.get("eta_upper", 1.0))],
                                       ["eta"], cfg.get("grid_points", 41))
         gp = evaluation._ssm_eta_posterior(train, calib, truth, grid, loss)
-    elif kind == "mixture":
+    else:                                       # mixture
         truth = MixtureTruth(lambda_star=cfg.get("lambda_star", 0.9))
         data = datasets.simulate_mixture(truth, cfg.get("n1", 30),
                                          cfg.get("n2", 60), seed)
@@ -146,8 +177,6 @@ def cmd_calibrate(args) -> int:
                                       [cfg.get("family", "gamma")],
                                       cfg.get("grid_points", 41))
         gp = mix_oracle.mixture_grid_posterior(loss, stats, calib.points, grid)
-    else:
-        return _fail(EXIT_CONFIG, f"unknown calibrate kind {kind!r}")
     gp.export_csv(out / "posterior.csv")
     est = hypercal.compute_estimator_set(gp)
     with open(out / "estimators.json", "w") as fh:
@@ -213,7 +242,7 @@ def cmd_risk_ratio(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
-    suite = cfg.get("suite", args.suite or "conjugate")
+    suite = cfg.get("suite", "conjugate")
     seed = cfg["seed"]
     failures = []
 
@@ -276,7 +305,7 @@ def cmd_oracle_check(args) -> int:
             m1e, v1e = mix_oracle.mixture_eta_smi(stats, 1.0)
             check("gamma=1 equals eta=1",
                   abs(m1g - m1e) < 1e-12 and abs(v1g - v1e) < 1e-12)
-        elif suite == "laplace-aghq":
+        else:                                   # laplace-aghq
             truth = MixtureTruth()
             errs = []
             for n2 in (50, 100, 200):
@@ -289,8 +318,6 @@ def cmd_oracle_check(args) -> int:
             check("error halving in n2",
                   all(1.5 < errs[i] / errs[i + 1] < 2.7 for i in range(2)),
                   f"errors {['%.2e' % e for e in errs]}")
-        else:
-            return _fail(EXIT_CONFIG, f"unknown suite {suite!r}")
     except ParameterError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     except Exception as exc:  # noqa: BLE001

@@ -5,6 +5,7 @@ Gaussian conditionals for the state-space missing latents.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -99,14 +100,23 @@ def metropolis_accept(log_alpha, log_s, t: int, burn_in: int, target: float,
     """Accept where a uniform falls below alpha = min(1, exp(log_alpha)),
     one per entry; during burn-in move the log proposal scale log_s by
     (t+1)^-0.6 (alpha - target), the Robbins-Monro rule of Andrieu & Thoms
-    (2008).  Shared by every Metropolis loop here.  Returns (accepted, log_s).
+    (2008).  Shared by every Metropolis loop here.  An array log_alpha is
+    overwritten and an array log_s is updated in place.  Returns
+    (accepted, log_s).
     """
-    if np.any(np.isnan(log_alpha)):
+    if isinstance(log_alpha, np.ndarray):
+        alpha = np.minimum(log_alpha, 0.0, out=log_alpha)
+        np.exp(alpha, out=alpha)
+    else:
+        alpha = np.exp(np.minimum(0.0, log_alpha))
+    # alpha lies in [0, 1] unless log_alpha held a NaN
+    if math.isnan(alpha.sum()):
         raise ParameterError("log target or calibration score returned NaN")
-    alpha = np.exp(np.minimum(0.0, log_alpha))
     accepted = rng.random(np.shape(alpha)) < alpha
     if t < burn_in:
-        log_s = log_s + (t + 1.0) ** -0.6 * (alpha - target)
+        alpha -= target
+        alpha *= (t + 1.0) ** -0.6
+        log_s += alpha
     return accepted, log_s
 
 
@@ -134,12 +144,16 @@ def rwm_batch(log_target_batch, init: np.ndarray, n_iter: int, burn_in: int,
     n_acc = np.zeros(B)
     kept = 0
     for t in range(n_iter):
-        prop = cur + np.exp(log_s)[:, None] * rng.standard_normal((B, d))
+        if t <= burn_in:            # the scale last moves at t = burn_in - 1
+            scale = np.exp(log_s)[:, None]
+        prop = rng.standard_normal((B, d))
+        prop *= scale
+        prop += cur
         prop_lp = np.asarray(log_target_batch(prop), dtype=float)
         acc, log_s = metropolis_accept(prop_lp - cur_lp, log_s, t, burn_in,
                                        target, rng)
-        cur[acc] = prop[acc]
-        cur_lp[acc] = prop_lp[acc]
+        np.copyto(cur, prop, where=acc[:, None])
+        np.copyto(cur_lp, prop_lp, where=acc)
         n_acc += acc
         if t >= burn_in and (t - burn_in) % thin == 0 and kept < n_keep:
             draws[:, kept] = cur

@@ -24,6 +24,7 @@ from scipy.special import gammaln
 from .datasets import ParameterError, SsmDataset, SsmTruth
 from .sampling import ar1_bridge
 
+_LOG_2PI = np.log(2.0 * np.pi)
 # log grid on which each phi^2 posterior is first located
 _COARSE = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 500))
 
@@ -278,7 +279,9 @@ class SsmJointTarget:
     which lets a whole hyperparameter lattice advance as one vectorized
     Metropolis sweep.  The beta-loss data term uses an expm1 form that is
     smooth through beta = 1, where it reduces to the log score (the shift is
-    constant in the parameters, so the posterior is unaffected).
+    constant in the parameters, so the posterior is unaffected).  It is
+    evaluated in one pass from log phi^2, turning the squared residuals into
+    (beta-1) log p in place.
     """
 
     def __init__(self, data: SsmDataset, truth: SsmTruth):
@@ -289,51 +292,70 @@ class SsmJointTarget:
             raise ParameterError("need interior positions for the joint target")
         w_left, w_right, self.Q, _ = ar1_bridge(truth, data.d_x)
         self.prior_mean = (data.theta_anchor[:, :1] * w_left
-                           + data.theta_anchor[:, 1:] * w_right)  # (n, k)
+                           + data.theta_anchor[:, 1:] * w_right).ravel()
+        self.x_M = data.x_missing.ravel()
         self.SA = float(np.sum((data.x_anchor - data.theta_anchor) ** 2))
         self.nA = 2 * data.n_blocks
         self.nM = data.n_blocks * self.k
-        self.x_M = data.x_missing
+        a, b = truth.invgamma_a, truth.invgamma_b
+        # phi^2 prior, log-scale Jacobian and anchor emissions, written as
+        # const - c_logt * log t - c_inv2t / (2t)
+        self._const = a * np.log(b) - gammaln(a) - 0.5 * self.nA * _LOG_2PI
+        self._c_logt = a + 0.5 * self.nA
+        self._c_inv2t = 2.0 * b + self.SA
 
     @property
     def dim(self) -> int:
         return 1 + self.nM
 
     def init_state(self) -> np.ndarray:
-        return np.concatenate([[0.0], self.prior_mean.ravel()])
+        return np.concatenate([[0.0], self.prior_mean])
 
     def __call__(self, states: np.ndarray, eta, beta=None) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
         B = states.shape[0]
-        eta = np.broadcast_to(np.asarray(eta, dtype=float), (B,))
+        if np.ndim(eta):
+            eta = np.asarray(eta, dtype=float)
         logt = states[:, 0]
-        t = np.exp(logt)
-        th = states[:, 1:].reshape(B, self.data.n_blocks, self.k)
-        a, b = self.truth.invgamma_a, self.truth.invgamma_b
-        # phi^2 prior plus log-scale Jacobian
-        lp = a * np.log(b) - gammaln(a) - a * logt - b / t
-        lp += -0.5 * self.nA * np.log(2.0 * np.pi * t) - self.SA / (2.0 * t)
+        inv2t = np.exp(-logt)
+        inv2t *= 0.5
+        th = states[:, 1:]
+        lp = self._const - self._c_logt * logt - self._c_inv2t * inv2t
         # AR(1) bridge prior on the latents
-        res = th - self.prior_mean[None]
-        lp += -0.5 * np.einsum("bnk,kl,bnl->b", res, self.Q, res)
+        res = th - self.prior_mean
+        rq = res.reshape(B, -1, self.k) @ self.Q
+        lp -= 0.5 * np.einsum("bi,bi->b", rq.reshape(B, -1), res)
         # tempered interior-emission term
-        d2 = (self.x_M[None] - th) ** 2
+        d2 = np.subtract(self.x_M, th, out=res)
+        d2 *= d2
+        l2pt = logt + _LOG_2PI
+        # log p_i = -l2pt/2 - d2_i/(2t); the log score is -sum_i log p_i
         if beta is None:
-            loglik = (-0.5 * self.nM * np.log(2.0 * np.pi * t)
-                      - np.sum(d2, axis=(1, 2)) / (2.0 * t))
-            lp += eta * loglik
-        else:
-            beta = np.broadcast_to(np.asarray(beta, dtype=float), (B,))
-            logp = (-0.5 * np.log(2.0 * np.pi * t)[:, None, None]
-                    - d2 / (2.0 * t)[:, None, None])
-            bm1 = (beta - 1.0)[:, None, None]
+            lp -= eta * (0.5 * self.nM * l2pt + d2.sum(axis=1) * inv2t)
+            return lp
+        # beta loss: -sum_i expm1((beta-1) log p_i)/(beta-1) plus the power
+        # integral nM beta^-1.5 (2 pi t)^((1-beta)/2); at beta = 1 the data
+        # term is the log score.  d2 becomes (beta-1) log p_i in place.
+        if np.ndim(beta):
+            bm1 = np.asarray(beta, dtype=float) - 1.0
             near_one = np.abs(bm1) < 1e-10
-            safe = np.where(near_one, 1.0, bm1)
-            with np.errstate(over="ignore"):
-                data_term = np.where(near_one, -logp,
-                                     -np.expm1(bm1 * logp) / safe)
-            integral = (self.nM / beta * beta ** -0.5
-                        * (2.0 * np.pi * t) ** ((1.0 - beta) / 2.0))
-            loss = np.sum(data_term, axis=(1, 2)) + integral
-            lp += -eta * loss
+            any_near = near_one.any()
+        else:
+            bm1 = float(beta) - 1.0
+            near_one = any_near = abs(bm1) < 1e-10
+        if any_near:
+            log_score = 0.5 * self.nM * l2pt + d2.sum(axis=1) * inv2t
+        bm1_c = (-0.5 * bm1) * l2pt          # (beta-1) times log p's constant
+        with np.errstate(over="ignore"):
+            d2 *= (-bm1 * inv2t)[:, None]
+            d2 += bm1_c[:, None]
+            np.expm1(d2, out=d2)
+            integral = self.nM * (bm1 + 1.0) ** -1.5 * np.exp(bm1_c)
+        data_term = d2.sum(axis=1)
+        if any_near:
+            data_term /= np.where(near_one, -1.0, -bm1)
+            data_term = np.where(near_one, log_score, data_term)
+        else:
+            data_term /= -bm1
+        lp -= eta * (data_term + integral)
         return lp

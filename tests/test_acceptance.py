@@ -175,6 +175,7 @@ def test_tempering_families_converge_at_large_samples():
 SSM_2D_BOUNDS = [(0.05, 1.0), (0.25, 1.0)]
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("J,n_iter,thin,n_outer,grid_seed,samp_seed,nest_seed",
                          [(10, 30000, 20, 4000, 40, 50, 60),
                           (20, 30000, 20, 4000, 50, 60, 70),

@@ -41,6 +41,71 @@ def test_unknown_config_key_rejected(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command,cfg", [
+    # keys of another kind of the same command
+    ("calibrate", {"kind": "ssm", "family": "gamma", "J": 5}),
+    ("simulate", {"kind": "mixture", "n_total_blocks": 7,
+                  "risk_method": "exact"}),
+    ("simulate", {"kind": "ssm", "n_total_blocks": 7}),
+    # keys of another command
+    ("study", {"kind": "ssm"}),
+    ("risk-ratio", {"grid_points": 9}),
+    ("oracle-check", {"suite": "conjugate", "table_n_rep": 10}),
+    # keys nothing reads
+    ("calibrate", {"kind": "ssm", "b_upper": 2.0}),
+    ("calibrate", {"kind": "mixture", "prior": "flat"}),
+])
+def test_config_key_not_read_by_command_and_kind_rejected(tmp_path, command,
+                                                           cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["bogus", ["ssm"]])
+def test_unknown_calibrate_kind_rejected(tmp_path, kind):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": kind}))
+    rc = main(["calibrate", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert not (tmp_path / "posterior.csv").exists()
+
+
+def test_every_key_a_branch_reads_is_accepted(tmp_path, capsys):
+    """Each command and kind accepts every key its branch reads (checked by
+    --dry-run, which validates the config and runs nothing)."""
+    cases = [
+        ("simulate", {"kind": "mixture", "lambda_star": 0.8, "n1": 5, "n2": 6}),
+        ("simulate", {"kind": "ssm", "phi_M_star": 0.5, "n_blocks": 3,
+                      "d_x": 5}),
+        ("simulate", {"kind": "conjugate", "mu_star": 1.0, "n": 4}),
+        ("calibrate", {"kind": "ssm", "loss": "pooled", "phi_M_star": 0.5,
+                       "n_total_blocks": 15, "n_train_blocks": 5, "d_x": 6,
+                       "eta_upper": 2.0, "grid_points": 9}),
+        ("calibrate", {"kind": "mixture", "family": "gamma", "loss": "product",
+                       "n1": 30, "n2": 60, "J": 1000, "grid_points": 41,
+                       "lambda_star": 0.9, "eta_upper": 1.0}),
+        ("study", {"phi_M_star": 0.5, "n_total_blocks": 20,
+                   "n_train_blocks": 5, "d_x": 6, "n_replicates": 2,
+                   "n_test_sets": 2, "test_blocks": 20, "eta_upper": 1.0,
+                   "grid_points": 9, "loss": "product",
+                   "risk_method": "exact"}),
+        ("risk-ratio", {"phi_M_star": 0.5, "n_total_blocks": 10, "d_x": 6,
+                        "test_blocks": 20, "n_test_sets": 3, "eta1": 0.5,
+                        "eta2": 1.0}),
+    ]
+    path = tmp_path / "cfg.json"
+    for command, cfg in cases:
+        path.write_text(json.dumps(dict(cfg, seed=3)))
+        assert main([command, "--config", str(path), "--dry-run"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == dict(cfg, seed=3)
+    # oracle-check has no dry run: a tiny table runs, and may miss its bounds
+    path.write_text(json.dumps({"suite": "table-f1", "table_n_rep": 10}))
+    assert main(["oracle-check", "--config", str(path)]) != EXIT_CONFIG
+
+
 def test_malformed_config_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     for text in ("{not json", "[1, 2]"):

@@ -238,3 +238,96 @@ def test_joint_target_per_row_hyperparameters():
     for i, e in enumerate(etas):
         single = target(s[None], e)
         assert batch[i] == pytest.approx(float(single[0]))
+
+
+def _joint_target_reference(data, truth, states, eta, beta):
+    """The beta-loss joint target written row by row and element by element:
+    log p_i = log N(x_i; theta_i, phi^2), data term
+    -sum_i expm1((beta-1) log p_i)/(beta-1) (-sum_i log p_i when
+    |beta-1| < 1e-10), plus the power integral nM/beta beta^-1/2
+    (2 pi phi^2)^((1-beta)/2)."""
+    from scipy.special import gammaln
+
+    B = len(states)
+    eta = np.broadcast_to(np.asarray(eta, dtype=float), (B,))
+    beta = np.broadcast_to(np.asarray(beta, dtype=float), (B,))
+    a, b = truth.invgamma_a, truth.invgamma_b
+    w_left, w_right, Q, _ = ar1_bridge(truth, data.d_x)
+    k = data.d_x - 2
+    nA, nM = 2 * data.n_blocks, data.n_blocks * k
+    SA = np.sum((data.x_anchor - data.theta_anchor) ** 2)
+    out = np.empty(B)
+    for row in range(B):
+        logt = states[row, 0]
+        t = np.exp(logt)
+        th = states[row, 1:].reshape(data.n_blocks, k)
+        lp = (a * np.log(b) - gammaln(a) - a * logt - b / t
+              - 0.5 * nA * np.log(2.0 * np.pi * t) - SA / (2.0 * t))
+        for j in range(data.n_blocks):
+            mean = (data.theta_anchor[j, 0] * w_left
+                    + data.theta_anchor[j, 1] * w_right)
+            lp -= 0.5 * (th[j] - mean) @ Q @ (th[j] - mean)
+        logp = (-0.5 * np.log(2.0 * np.pi * t)
+                - (data.x_missing - th) ** 2 / (2.0 * t))
+        bm1 = beta[row] - 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if abs(bm1) < 1e-10:
+                data_term = -np.sum(logp)
+            else:
+                data_term = -np.sum(np.expm1(bm1 * logp)) / bm1
+            integral = (nM / beta[row] * beta[row] ** -0.5
+                        * (2.0 * np.pi * t) ** ((1.0 - beta[row]) / 2.0))
+            out[row] = lp - eta[row] * (data_term + integral)
+    return out
+
+
+def _assert_same_target(got, ref, rel=1e-12):
+    fin = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(got), fin)
+    assert np.array_equal(got[~fin], ref[~fin], equal_nan=True)
+    assert np.all(np.abs(got[fin] - ref[fin]) <= rel * np.abs(ref[fin]))
+
+
+@pytest.mark.parametrize("beta", [1.6, 0.7, 1.0, 1.0 + 1e-11, 1.0 - 1e-11,
+                                  "rows"])
+@pytest.mark.parametrize("eta", [0.6, "rows"])
+def test_joint_target_matches_elementwise_reference(eta, beta):
+    """The fused beta-loss target against the element-wise formula, with
+    scalar and per-row hyperparameters, at and near beta = 1."""
+    data, truth = small_data(n_blocks=4, seed=16, phi_M_star=0.7)
+    target = SsmJointTarget(data, truth)
+    rng = np.random.default_rng(17)
+    B = 12
+    states = np.tile(target.init_state(), (B, 1))
+    states[:, 0] = rng.uniform(-3.0, 3.0, B)
+    states[:, 1:] += 0.5 * rng.standard_normal((B, target.nM))
+    if eta == "rows":
+        eta = rng.uniform(0.05, 1.5, B)
+    if beta == "rows":
+        # every case at once, beta = 1 and 1 +- 1e-11 among them
+        beta = np.array([1.0, 1.0 + 1e-11, 1.0 - 1e-11, 0.5, 0.99, 1.01,
+                         1.3, 2.0, 4.0, 1.0, 3.0, 0.8])
+    _assert_same_target(target(states, eta, beta=beta),
+                        _joint_target_reference(data, truth, states, eta, beta))
+
+
+def test_joint_target_overflow_matches_elementwise_reference():
+    """At a tiny phi^2, (beta-1) log p overflows expm1.  For beta > 1 the
+    power integral overflows too and the target is NaN, which rwm_batch
+    rejects; for beta < 1 the target is -inf."""
+    data, truth = small_data(n_blocks=3, seed=18)
+    target = SsmJointTarget(data, truth)
+    states = np.tile(target.init_state(), (4, 1))
+    states[:, 0] = -600.0
+    states[:, 1:] = data.x_missing.ravel() + 1.0
+    states[1::2, 1] = data.x_missing.ravel()[0]     # one emission hit exactly
+    betas = np.array([4.0, 4.0, 0.5, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = target(states, 0.8, beta=betas)
+        ref = _joint_target_reference(data, truth, states, 0.8, betas)
+    assert np.isnan(ref[1]) and np.all(ref[2:] == -np.inf)
+    _assert_same_target(got, ref)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ParameterError):
+        rwm_batch(lambda st: target(st, 0.8, beta=4.0), states[1:2],
+                  n_iter=2, burn_in=1, thin=1, seed=0)
