@@ -242,7 +242,13 @@ def cmd_risk_ratio(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
-    suite = cfg.get("suite", "conjugate")
+    suite = cfg.setdefault("suite", "conjugate")
+    if suite == "table-f1":
+        cfg.setdefault("table_n_rep", 2000 if args.fast else 10 ** 4)
+    # echoed on --dry-run, written only with --out: no stray files otherwise
+    if args.dry_run or args.out:
+        if _write_resolved(cfg, args) is None:
+            return EXIT_OK
     seed = cfg["seed"]
     failures = []
 
@@ -254,13 +260,12 @@ def cmd_oracle_check(args) -> int:
 
     try:
         if suite == "table-f1":
-            n_rep = cfg.get("table_n_rep", 2000 if args.fast else 10 ** 4)
             expected = {(0.5, 0.1): (0.62, 0.73), (1.0, 0.1): (0.72, 0.94),
                         (4.0, 0.1): (0.62, 0.71), (1.0, 1.0): (0.60, 0.77),
                         (2.0, 4.0): (0.59, 0.71)}
             tol = 0.02 + (0.02 if args.fast else 0.0)
             rows = conj_oracle.interior_probability_table(
-                list(expected), 10, 10, n_rep, seed)
+                list(expected), 10, 10, cfg["table_n_rep"], seed)
             for row in rows:
                 mu, v = row[0], row[1]
                 p1, p2 = row[4], row[5]
@@ -366,18 +371,21 @@ def main(argv=None) -> int:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int,
                         help="overrides the config's seed (default 0)")
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--out", help="output directory")
-    common.add_argument("--fast", action="store_true",
-                        help="reduced budgets for quick runs")
     common.add_argument("--dry-run", action="store_true",
                         help="echo the resolved config and exit")
+    # only the commands that read --fast or --jobs accept them
+    fast = argparse.ArgumentParser(add_help=False)
+    fast.add_argument("--fast", action="store_true",
+                      help="reduced budgets for quick runs")
 
     for name, fn in [("simulate", cmd_simulate), ("calibrate", cmd_calibrate),
-                     ("study", cmd_study), ("risk-ratio", cmd_risk_ratio)]:
-        p = sub.add_parser(name, parents=[common])
-        p.set_defaults(func=fn)
-    p = sub.add_parser("oracle-check", parents=[common])
+                     ("risk-ratio", cmd_risk_ratio)]:
+        sub.add_parser(name, parents=[common]).set_defaults(func=fn)
+    p = sub.add_parser("study", parents=[common, fast])
+    p.add_argument("--jobs", type=int, default=1)
+    p.set_defaults(func=cmd_study)
+    p = sub.add_parser("oracle-check", parents=[common, fast])
     p.add_argument("suite", nargs="?", default=None,
                    choices=["conjugate", "mixture", "laplace-aghq", "table-f1"])
     p.set_defaults(func=cmd_oracle_check)

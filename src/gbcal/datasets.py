@@ -7,7 +7,7 @@ seeds without shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,22 +44,6 @@ class HyperPoint:
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
             raise ParameterError(f"gamma must be in [0,1], got {self.gamma}")
 
-    @property
-    def beta_value(self) -> float:
-        if self.beta is not None:
-            return self.beta
-        if self.b is not None:
-            return 1.0 / self.b
-        raise ParameterError("no loss exponent set on this point")
-
-    @property
-    def b_value(self) -> float:
-        if self.b is not None:
-            return self.b
-        if self.beta is not None:
-            return 1.0 / self.beta
-        raise ParameterError("no loss exponent set on this point")
-
 
 @dataclass(frozen=True)
 class SimpleDataset:
@@ -77,10 +61,6 @@ class SimpleDataset:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def d_x(self) -> int:
-        return 1 if self.points.ndim == 1 else self.points.shape[1]
-
 
 @dataclass(frozen=True)
 class ModularDataset:
@@ -88,12 +68,6 @@ class ModularDataset:
 
     x1: SimpleDataset
     x2: SimpleDataset
-
-    @property
-    def ratio_alpha(self) -> float:
-        if self.x2.n == 0:
-            raise ParameterError("ratio_alpha undefined with empty x2")
-        return self.x1.n / self.x2.n
 
 
 @dataclass(frozen=True)
@@ -114,19 +88,6 @@ class SsmDataset:
         xa = np.asarray(self.x_all, dtype=float).reshape(self.n_blocks, self.d_x)
         object.__setattr__(self, "theta_anchor", ta)
         object.__setattr__(self, "x_all", xa)
-
-    @property
-    def anchor_index(self) -> np.ndarray:
-        """(block, position) pairs of the anchor set, row-major order."""
-        b = np.repeat(np.arange(self.n_blocks), 2)
-        p = np.tile([0, self.d_x - 1], self.n_blocks)
-        return np.column_stack([b, p])
-
-    @property
-    def missing_index(self) -> np.ndarray:
-        b = np.repeat(np.arange(self.n_blocks), self.d_x - 2)
-        p = np.tile(np.arange(1, self.d_x - 1), self.n_blocks)
-        return np.column_stack([b, p])
 
     @property
     def x_anchor(self) -> np.ndarray:
@@ -184,23 +145,6 @@ class SsmTruth:
         return self.sigma_ar ** 2 / (1.0 - self.nu ** 2)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/calibration/test split fractions plus the permutation seed."""
-
-    train_fraction: float
-    calib_fraction: float
-    test_fraction: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        fr = (self.train_fraction, self.calib_fraction, self.test_fraction)
-        if any(f < 0 for f in fr):
-            raise ParameterError("split fractions must be nonnegative")
-        if abs(sum(fr) - 1.0) > 1e-12:
-            raise ParameterError(f"split fractions must sum to 1, got {sum(fr)}")
-
-
 def simulate_mixture(truth: MixtureTruth, n1: int, n2: int, seed: int) -> ModularDataset:
     """Draw the two-module normal data.
 
@@ -247,25 +191,6 @@ def simulate_conjugate_normal(mu_star: float, n: int, seed: int) -> SimpleDatase
         raise ParameterError("n must be nonnegative")
     rng = np.random.default_rng(seed)
     return SimpleDataset(mu_star + rng.standard_normal(n))
-
-
-def split_dataset(data: SimpleDataset, spec: SplitSpec):
-    """Randomly partition a dataset into (train, calib, test).
-
-    Sizes round down; leftover rows go to train.  The same spec always
-    produces the same partition.
-    """
-    n = data.n
-    n_calib = int(np.floor(n * spec.calib_fraction))
-    n_test = int(np.floor(n * spec.test_fraction))
-    n_train = n - n_calib - n_test
-    perm = np.random.default_rng(spec.seed).permutation(n)
-    idx_train = np.sort(perm[:n_train])
-    idx_calib = np.sort(perm[n_train:n_train + n_calib])
-    idx_test = np.sort(perm[n_train + n_calib:])
-    return (SimpleDataset(data.points[idx_train]),
-            SimpleDataset(data.points[idx_calib]),
-            SimpleDataset(data.points[idx_test]))
 
 
 def split_ssm_blocks(data: SsmDataset, n_train: int, seed: int):

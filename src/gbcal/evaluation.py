@@ -62,14 +62,6 @@ def risk_ratio_product(s1, s2, test_sets, block_log_pred_at) -> RiskRatioReport:
     return _report(s1, s2, "product", logs)
 
 
-def risk_ratio_pooled(s1, s2, test_sets, pooled_log_pred_at) -> RiskRatioReport:
-    """Mean over test sets of the joint predictive ratio (an averaged
-    intrinsic Bayes factor)."""
-    logs = [float(pooled_log_pred_at(s1, z) - pooled_log_pred_at(s2, z))
-            for z in test_sets]
-    return _report(s1, s2, "pooled", logs)
-
-
 @functools.cache
 def _laguerre_rule():
     """64-node Gauss-Laguerre rule for integrals against exp(-u) on

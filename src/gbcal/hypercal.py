@@ -3,25 +3,26 @@
 The workhorse is a lattice of hyperparameter values with a log predictive
 score per point (pooled: joint density of all calibration data; product: sum
 of pointwise densities), splined and normalized into a density.  A nested
-Metropolis sampler provides an off-lattice alternative, and five point
-estimators summarize either representation.
+Metropolis sampler provides an off-lattice alternative.  Four point
+estimators summarize a lattice posterior: mean, mode, harmonic mean and
+minimum-KL.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline, UnivariateSpline
-from scipy.special import logsumexp
 
-from .datasets import HyperPoint, ParameterError, SimpleDataset
+from .datasets import HyperPoint, ParameterError
 from .sampling import metropolis_accept
 
 _FINE_1D = 4001
 _FINE_2D = 301
+_TIE_TOL = 1e-9         # relative density gap below which modes tie
+_KL_CANDIDATES = 41     # candidate values scored by kl_estimator
 
 
 @dataclass(frozen=True)
@@ -67,20 +68,6 @@ def prior_uniform(upper: float = 1.0):
     def lp(s):
         s = np.asarray(s, dtype=float)
         return np.where((s >= 0) & (s <= upper), -np.log(upper), -np.inf)
-    return lp
-
-
-def prior_exponential(rate: float = 1.0 / 3.0):
-    def lp(s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s >= 0, np.log(rate) - rate * s, -np.inf)
-    return lp
-
-
-def prior_improper_flat():
-    def lp(s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s >= 0, 0.0, -np.inf)
     return lp
 
 
@@ -221,88 +208,6 @@ def grid_posterior_from_values(kind: str, grid: SGrid, log_pred: np.ndarray,
     return replace(gp, _log_norm=float(np.log(gp.normalization_check())))
 
 
-# --- Monte Carlo predictives ----------------------------------------------
-
-def _per_draw_log_density(draws: np.ndarray, model, y_pts: np.ndarray) -> np.ndarray:
-    """(T, J) matrix of log p(y_j | phi_t); broadcasts when the model allows."""
-    draws = np.asarray(draws)
-    if draws.ndim == 1:
-        draws = draws[:, None]
-    T, d = draws.shape
-    phi_arg = draws[:, 0:1] if d == 1 else tuple(draws[:, j:j + 1] for j in range(d))
-    try:
-        out = model.log_density(y_pts[None, :], phi_arg)
-        if np.shape(out) == (T, len(y_pts)):
-            return np.asarray(out)
-    except Exception:
-        pass
-    return np.stack([model.log_density(y_pts, row if len(row) > 1 else row[0])
-                     for row in draws])
-
-
-def log_pointwise_predictive(draws, model, y_j) -> float:
-    """Log of the Monte Carlo posterior predictive density at one point."""
-    y = np.atleast_1d(np.asarray(y_j, dtype=float))
-    mat = _per_draw_log_density(draws, model, y)
-    out = logsumexp(mat, axis=0) - np.log(mat.shape[0])
-    if np.any(np.isneginf(out)):
-        warnings.warn("all draws give zero density at a calibration point")
-    return float(out.sum())
-
-
-def log_product_predictive(draws, model, y) -> float:
-    """Sum over calibration points of log pointwise predictives."""
-    pts = y.points if isinstance(y, SimpleDataset) else np.asarray(y, dtype=float)
-    mat = _per_draw_log_density(draws, model, pts)
-    return float(np.sum(logsumexp(mat, axis=0) - np.log(mat.shape[0])))
-
-
-def log_pooled_predictive(draws, model, y) -> float:
-    """Log Monte Carlo estimate of the joint predictive of all of y.
-
-    High variance at large J: the average is dominated by few draws, so the
-    effective sample size of the implicit weights is checked.
-    """
-    pts = y.points if isinstance(y, SimpleDataset) else np.asarray(y, dtype=float)
-    mat = _per_draw_log_density(draws, model, pts)
-    rows = mat.sum(axis=1)
-    w = np.exp(rows - rows.max())
-    ess = w.sum() ** 2 / np.sum(w * w)
-    if ess < 10:
-        warnings.warn(f"pooled predictive dominated by few draws (ESS {ess:.1f})")
-    return float(logsumexp(rows) - np.log(len(rows)))
-
-
-def build_grid_posterior(kind: str, grid: SGrid, log_prior_fn, y,
-                         sampler_factory, model, seed: int = 0) -> GridPosterior:
-    """One chain per lattice point, then spline-and-normalize.
-
-    sampler_factory(s_tuple, seed) must return draws of phi targeting the
-    tempered posterior at that lattice point.  A failing lattice point is
-    marked missing rather than aborting the sweep.
-    """
-    pts = grid.points()
-    log_pred = np.empty(len(pts))
-    for i, s in enumerate(pts):
-        try:
-            draws = sampler_factory(tuple(s), seed + i)
-            if kind == "pooled":
-                log_pred[i] = log_pooled_predictive(draws, model, y)
-            else:
-                log_pred[i] = log_product_predictive(draws, model, y)
-        except Exception as exc:  # noqa: BLE001 - isolate lattice failures
-            warnings.warn(f"lattice point {tuple(s)} failed: {exc}")
-            log_pred[i] = np.nan
-    log_prior = _prior_on_lattice(log_prior_fn, pts)
-    return grid_posterior_from_values(kind, grid, log_pred, log_prior)
-
-
-def _prior_on_lattice(log_prior_fn, pts: np.ndarray) -> np.ndarray:
-    if pts.shape[1] == 1:
-        return np.asarray(log_prior_fn(pts[:, 0]), dtype=float)
-    return np.asarray([log_prior_fn(tuple(p)) for p in pts], dtype=float)
-
-
 # --- nested MCMC ----------------------------------------------------------
 
 def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -313,17 +218,19 @@ def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def nested_mcmc(log_prior_fn, bounds, state0, inner_refresh, log_calib,
-                n_outer: int, seed: int, s_init=None, prop_scale=None,
-                burn_in: int = 200):
+                n_outer: int, seed: int):
     """Metropolis over s with parameter draws refreshed by side chains.
 
     state0 holds the current parameter draws (one per calibration block for
-    the product loss, a single one for pooled).  At each outer step a new s
-    is proposed, inner_refresh(s', state, seed) advances the side chains
-    under the proposed s, and the move is accepted with the prior ratio
-    times the calibration-density ratio of the refreshed versus current
-    draws.  Returns (s_draws, accept_rate).
+    the product loss, a single one for pooled).  The chain starts at the
+    centre of the bounds with proposal scale a tenth of their width.  At
+    each outer step a new s is proposed, inner_refresh(s', state, seed)
+    advances the side chains under the proposed s, and the move is accepted
+    with the prior ratio times the calibration-density ratio of the
+    refreshed versus current draws.  The first 200 steps adapt the scale
+    and are dropped.  Returns (s_draws, accept_rate).
     """
+    burn_in = 200
     if n_outer <= burn_in:
         raise ParameterError(f"n_outer ({n_outer}) must exceed burn_in "
                              f"({burn_in})")
@@ -331,9 +238,8 @@ def nested_mcmc(log_prior_fn, bounds, state0, inner_refresh, log_calib,
     lo, hi = bounds[:, 0], bounds[:, 1]
     d = len(bounds)
     rng = np.random.default_rng(seed)
-    s = np.asarray(s_init, dtype=float) if s_init is not None else (lo + hi) / 2
-    scale = np.asarray(prop_scale, dtype=float) if prop_scale is not None \
-        else (hi - lo) / 10.0
+    s = (lo + hi) / 2
+    scale = (hi - lo) / 10.0
     log_s_adapt = 0.0
     state = inner_refresh(s, state0, int(rng.integers(2 ** 63)))
     cur_calib = float(log_calib(state))
@@ -366,12 +272,10 @@ class EstimatorSet:
     mean: HyperPoint
     mode: HyperPoint
     harmonic_mean: HyperPoint | None = None
-    kl: HyperPoint | None = None
-    waic: HyperPoint | None = None
 
     def as_dict(self) -> dict:
         out = {}
-        for name in ("mean", "mode", "harmonic_mean", "kl", "waic"):
+        for name in ("mean", "mode", "harmonic_mean"):
             hp = getattr(self, name)
             if hp is None:
                 continue
@@ -379,16 +283,16 @@ class EstimatorSet:
         return out
 
 
-def compute_estimator_set(gp: GridPosterior, with_harmonic: bool = True) -> EstimatorSet:
+def compute_estimator_set(gp: GridPosterior) -> EstimatorSet:
     """Mean, mode and (for a nonnegative scalar axis) the harmonic mean.
 
-    The KL and WAIC summaries need extra inputs (predictive simulators,
-    training chains) and are attached by their dedicated functions.
+    The minimum-KL summary needs a predictive simulator and is computed by
+    kl_estimator.
     """
     mean = estimate_posterior_mean(gp)
     mode = estimate_posterior_mode(gp)
     hm = None
-    if with_harmonic and gp.grid.ndim == 1:
+    if gp.grid.ndim == 1:
         try:
             hm = gp.to_hyperpoint([harmonic_mean_estimator(gp)])
         except ParameterError:
@@ -400,7 +304,7 @@ def estimate_posterior_mean(gp: GridPosterior) -> HyperPoint:
     return gp.to_hyperpoint(gp.mean())
 
 
-def estimate_posterior_mode(gp: GridPosterior, tie_tol: float = 1e-9) -> HyperPoint:
+def estimate_posterior_mode(gp: GridPosterior) -> HyperPoint:
     """Fine-grid argmax with golden-section refinement along each axis.
 
     Near-ties resolve toward the smallest first-axis value, which prefers
@@ -408,7 +312,7 @@ def estimate_posterior_mode(gp: GridPosterior, tie_tol: float = 1e-9) -> HyperPo
     """
     axes, dens = gp._fine_density()
     flat = dens.ravel()
-    near = np.where(flat >= flat.max() * (1 - tie_tol))[0]
+    near = np.where(flat >= flat.max() * (1 - _TIE_TOL))[0]
     idx = near.min()
     if gp.grid.ndim == 1:
         x = axes[0]
@@ -417,7 +321,7 @@ def estimate_posterior_mode(gp: GridPosterior, tie_tol: float = 1e-9) -> HyperPo
         hi = x[min(i + 1, len(x) - 1)]
         best = golden_max(lambda t: gp.log_density(t), lo, hi)
         # refinement must not move off a flat stretch or a grid maximum
-        if gp.log_density(x[i]) >= gp.log_density(best) - tie_tol and x[i] < best:
+        if gp.log_density(x[i]) >= gp.log_density(best) - _TIE_TOL and x[i] < best:
             best = float(x[i])
         return gp.to_hyperpoint([best])
     ix, iy = np.unravel_index(idx, dens.shape)
@@ -451,10 +355,10 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return float((a + b) / 2)
 
 
-def harmonic_mean_estimator(gp: GridPosterior, axis: int = 0) -> float:
-    """1 / E[1/eta] under the posterior; errors out when the boundary mass
-    makes E[1/eta] diverge."""
-    x, m = gp.marginal(axis)
+def harmonic_mean_estimator(gp: GridPosterior) -> float:
+    """1 / E[1/eta] under the posterior's first axis; errors out when the
+    boundary mass makes E[1/eta] diverge."""
+    x, m = gp.marginal(0)
     m = m / np.trapezoid(m, x)
     if x[0] <= 0:
         pos = x > 0
@@ -471,14 +375,14 @@ def harmonic_mean_estimator(gp: GridPosterior, axis: int = 0) -> float:
 
 
 def kl_estimator(gp: GridPosterior, predictive_sampler, predictive_logpdf,
-                 grid_K: int = 41, T: int = 400, J_inner: int = 1000,
+                 T: int = 400, J_inner: int = 1000,
                  seed: int = 0) -> HyperPoint:
     """Minimum-KL point summary of the hyperposterior.
 
     Draw s_t from the posterior, simulate z from each predictive
-    p_{s_t}(z|y,x), score every candidate s' by the average log predictive
-    density of the simulated z, smooth over the candidate grid and take the
-    argmax (equivalently the KL argmin).
+    p_{s_t}(z|y,x), score each of 41 candidate values s' by the average log
+    predictive density of the simulated z, smooth over the candidates and
+    take the argmax (equivalently the KL argmin).
     """
     rng = np.random.default_rng(seed)
     s_draws = gp.sample(T, seed=seed + 1)
@@ -486,12 +390,12 @@ def kl_estimator(gp: GridPosterior, predictive_sampler, predictive_logpdf,
           for t in range(T)]
     z = np.concatenate(zs)
     lo, hi = gp.bounds[0]
-    cand = np.linspace(lo, hi, grid_K)
+    cand = np.linspace(lo, hi, _KL_CANDIDATES)
     if lo <= 0:
         cand = cand.copy()
         cand[0] = min(1e-6, (cand[1] - cand[0]) / 100 + lo) if cand[1] > 0 else cand[0]
-    w = np.empty(grid_K)
-    se = np.empty(grid_K)
+    w = np.empty(_KL_CANDIDATES)
+    se = np.empty(_KL_CANDIDATES)
     for i, sp in enumerate(cand):
         vals = predictive_logpdf(sp, z)
         w[i] = float(np.mean(vals))
@@ -504,34 +408,3 @@ def kl_estimator(gp: GridPosterior, predictive_sampler, predictive_logpdf,
     except Exception:
         best = float(cand[np.argmax(w)])
     return gp.to_hyperpoint([best] + [np.nan] * (gp.grid.ndim - 1))
-
-
-def waic_estimator(grid: SGrid, draws_per_s, model, x):
-    """Argmin over the lattice of WAIC computed from training-data pointwise
-    log densities; returns (HyperPoint, waic values).
-
-    WAIC = -2 (lppd - p_waic) with p_waic the summed posterior variances of
-    the pointwise log densities.  A warning fires when many points carry
-    variance above 0.4, where the penalty is known to be unreliable.
-    """
-    pts = x.points if isinstance(x, SimpleDataset) else np.asarray(x, dtype=float)
-    lattice = grid.points()
-    waic = np.empty(len(lattice))
-    for i, draws in enumerate(draws_per_s):
-        mat = _per_draw_log_density(draws, model, pts)
-        lppd = float(np.sum(logsumexp(mat, axis=0) - np.log(mat.shape[0])))
-        var_i = np.var(mat, axis=0, ddof=1)
-        if np.mean(var_i > 0.4) > 0.10:
-            warnings.warn("WAIC penalty unreliable: many points with high "
-                          "posterior variance of the log density")
-        waic[i] = -2.0 * (lppd - float(np.sum(var_i)))
-    if grid.ndim == 1:
-        xax = grid.axes[0]
-        spline = CubicSpline(xax, waic, bc_type="natural")
-        fine = np.linspace(xax[0], xax[-1], _FINE_1D)
-        best = float(fine[np.argmin(spline(fine))])
-        names = grid.names
-        return HyperPoint(**{names[0]: best}), waic
-    i = int(np.argmin(waic))
-    kw = {n: float(v) for n, v in zip(grid.names, lattice[i])}
-    return HyperPoint(**kw), waic

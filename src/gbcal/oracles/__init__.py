@@ -15,7 +15,6 @@ from .conjugate import (
 )
 from .mixture import (
     MixtureStats,
-    mixture_conditional_theta,
     mixture_eta_smi,
     mixture_gamma_smi,
     mixture_grid_posterior,

@@ -212,8 +212,8 @@ def _elppd_objective(stats_: ConjStats):
     return f
 
 
-def conj_optimal_r(kind: str, stats_: ConjStats, y=None, r_bracket=None) -> OptimalR:
-    """Maximize the chosen calibration objective over r.
+def conj_optimal_r(kind: str, stats_: ConjStats, y=None) -> OptimalR:
+    """Maximize the chosen calibration objective over r in (r0, 1e6].
 
     kind is one of "pooled", "product", "pooled_target", "elppd".  The
     optimum is reported as not finite when the objective is still climbing
@@ -233,8 +233,8 @@ def conj_optimal_r(kind: str, stats_: ConjStats, y=None, r_bracket=None) -> Opti
     else:
         raise ParameterError(f"unknown objective kind {kind!r}")
 
-    lo = stats_.r0 + 1e-6 if r_bracket is None else r_bracket[0]
-    hi = _R_MAX if r_bracket is None else r_bracket[1]
+    lo = stats_.r0 + 1e-6
+    hi = _R_MAX
 
     if kind == "elppd":
         tail = conj_tail_coefficients(stats_, np.array([stats_.xbar]))[2]

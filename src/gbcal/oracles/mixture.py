@@ -4,8 +4,8 @@ Module 1: x1 ~ N(phi, sigma1^2), flat prior on phi.
 Module 2: x2 ~ N(phi + theta, sigma2^2), theta ~ N(0, s_theta^2).
 
 Because everything is Gaussian, every semi-modular posterior for phi is
-normal with parameters in closed form, and so are the calibration losses.
-These closed forms double as ground truth for the MCMC-based pipeline.
+normal with parameters in closed form, and so are the calibration losses,
+so the lattice posterior of the module-2 weight needs no sampling.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class MixtureStats:
                    sum_x2=float(np.sum(data.x2.points)),
                    sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq,
                    s_theta_sq=s_theta_sq)
-
-    @property
-    def xbar2(self) -> float:
-        return self.sum_x2 / self.n2
 
 
 def _check_proper(stats: MixtureStats, weight2: float):
@@ -92,13 +88,6 @@ def mixture_eta_smi(stats: MixtureStats, eta):
     if mean.ndim == 0:
         return float(mean), float(var)
     return mean, var
-
-
-def mixture_conditional_theta(stats: MixtureStats, phi):
-    """Exact conditional theta | x2, phi: N(rho*(xbar2 - phi), var)."""
-    var = 1.0 / (1.0 / stats.s_theta_sq + stats.n2 / stats.sigma2_sq)
-    rho = stats.n2 * var / stats.sigma2_sq
-    return rho * (stats.xbar2 - np.asarray(phi, dtype=float)), var
 
 
 def _pooled_loss_from_posterior(mu_phi, var_phi, sigma1_sq, y1) -> float:

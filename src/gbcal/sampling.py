@@ -1,55 +1,15 @@
 """MCMC machinery: adaptive random-walk Metropolis (one batched chain loop
-and one accept-and-adapt step), two-stage semi-modular sampling, and exact
-Gaussian conditionals for the state-space missing latents.
+and one accept-and-adapt step), an effective-sample-size estimate, and the
+AR(1) bridge that conditions a block's interior latents on its anchors.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import ParameterError, SsmTruth
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    n_iter: int = 10000
-    burn_in: int = 2000
-    thin: int = 10
-    target_accept: float | None = None  # default 0.44 in 1-d, 0.234 otherwise
-    init: np.ndarray | float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.burn_in < self.n_iter:
-            raise ParameterError("burn_in must be smaller than n_iter")
-        if self.thin < 1:
-            raise ParameterError("thin must be >= 1")
-        if self.target_accept is not None and not 0 < self.target_accept < 1:
-            raise ParameterError("target_accept must be in (0,1)")
-
-
-@dataclass(frozen=True)
-class Chain:
-    draws: np.ndarray             # (n_draws, d)
-    accept_rate: float
-    log_density_trace: np.ndarray
-    seed: int
-    ess_estimate: np.ndarray      # per coordinate
-
-    @property
-    def n_draws(self) -> int:
-        return self.draws.shape[0]
-
-    def dump_csv(self, path):
-        d = self.draws.shape[1]
-        header = "iter," + ",".join(f"coord_{k}" for k in range(d)) + ",log_density"
-        body = np.column_stack([np.arange(self.n_draws), self.draws,
-                                self.log_density_trace])
-        np.savetxt(path, body, delimiter=",", header=header, comments="")
 
 
 def ess_initial_positive(x: np.ndarray) -> float:
@@ -72,27 +32,6 @@ def ess_initial_positive(x: np.ndarray) -> float:
         tau += 2.0 * pair
     tau = max(tau, 1.0)
     return float(min(m, m / tau))
-
-
-def adaptive_rwm(log_target, config: ChainConfig) -> Chain:
-    """Random-walk Metropolis on one chain: rwm_batch with a batch of one.
-
-    log_target takes a scalar in 1-d and a vector otherwise.  The proposal
-    scale adapts during burn-in and is frozen after it, so the retained
-    draws come from a fixed Markov kernel.
-    """
-    init = np.atleast_1d(np.asarray(config.init, dtype=float))
-    d = len(init)
-    one = log_target if d > 1 else (lambda x: log_target(x[0]))
-    draws, acc = rwm_batch(lambda st: [one(st[0])], init[None, :],
-                           config.n_iter, config.burn_in, config.thin,
-                           config.seed, config.target_accept)
-    draws = draws[0]
-    lp_trace = np.array([float(one(x)) for x in draws])
-    ess = np.array([ess_initial_positive(draws[:, j]) for j in range(d)])
-    return Chain(draws=draws, accept_rate=float(acc[0]),
-                 log_density_trace=lp_trace, seed=config.seed,
-                 ess_estimate=ess)
 
 
 def metropolis_accept(log_alpha, log_s, t: int, burn_in: int, target: float,
@@ -121,18 +60,18 @@ def metropolis_accept(log_alpha, log_s, t: int, burn_in: int, target: float,
 
 
 def rwm_batch(log_target_batch, init: np.ndarray, n_iter: int, burn_in: int,
-              thin: int, seed: int, target_accept: float | None = None,
-              scale_init: float = 1.0):
+              thin: int, seed: int, scale_init: float = 1.0):
     """Many independent Metropolis chains advanced in lockstep.
 
     log_target_batch maps a (B, d) state matrix to B log densities; each row
-    has its own adapted scale.  Used for per-lattice-point chains and for the
-    inner refreshes of the nested sampler, where the chains share structure
-    and vectorize well.  Returns (draws (B, n_keep, d), accept_rate (B,)).
+    has its own scale, adapted during burn-in towards acceptance 0.44 in
+    1-d and 0.234 otherwise, then frozen.  Used for per-lattice-point chains
+    and the nested sampler's inner refreshes; a single chain is a batch of
+    one.  Returns (draws (B, n_keep, d), accept_rate (B,)).
     """
     init = np.asarray(init, dtype=float)
     B, d = init.shape
-    target = target_accept or (0.44 if d == 1 else 0.234)
+    target = 0.44 if d == 1 else 0.234
     rng = np.random.default_rng(seed)
     cur = init.copy()
     cur_lp = np.asarray(log_target_batch(cur), dtype=float)
@@ -161,29 +100,6 @@ def rwm_batch(log_target_batch, init: np.ndarray, n_iter: int, burn_in: int,
     return draws, n_acc / n_iter
 
 
-def smi_two_stage_sample(smi_log_target, cond_theta, config: ChainConfig):
-    """Sample (phi, theta', theta) for a semi-modular posterior.
-
-    Stage 1 runs a Metropolis chain on the joint (phi, theta') Gibbs target;
-    stage 2 draws theta from the exact conditional posterior given phi (the
-    untempered module-2 update), one per retained draw.  The conditional
-    never depends on the tempering, only on (x2, phi).
-    """
-    chain = adaptive_rwm(smi_log_target, config)
-    rng = np.random.default_rng(config.seed + 10 ** 9)
-    thetas = []
-    keep = np.ones(chain.n_draws, dtype=bool)
-    for i, row in enumerate(chain.draws):
-        try:
-            thetas.append(cond_theta(row[0], rng))
-        except Exception:
-            keep[i] = False
-    if not np.all(keep):
-        warnings.warn(f"{int((~keep).sum())} conditional draws failed and were dropped")
-    theta = np.asarray(thetas)
-    return chain.draws[keep], theta, chain
-
-
 def ar1_bridge(truth: SsmTruth, d_x: int):
     """Conditional law of the interior chain positions of one block given its
     two endpoints.
@@ -209,24 +125,3 @@ def ar1_bridge(truth: SsmTruth, d_x: int):
     w_left = V @ e_left
     w_right = V @ e_right
     return w_left, w_right, Q, V
-
-
-def ssm_conditional_theta(x_M: np.ndarray, theta_anchor: np.ndarray, phi: float,
-                          truth: SsmTruth, seed: int) -> np.ndarray:
-    """Exact draw of the missing latents given anchors and interior emissions.
-
-    x_M: (n_blocks, d_x-2) interior emissions; theta_anchor: (n_blocks, 2).
-    The posterior is Gaussian per block with precision Q + I/phi^2.
-    """
-    x_M = np.atleast_2d(np.asarray(x_M, dtype=float))
-    theta_anchor = np.atleast_2d(np.asarray(theta_anchor, dtype=float))
-    n_blocks, k = x_M.shape
-    w_left, w_right, Q, _ = ar1_bridge(truth, k + 2)
-    prior_mean = (theta_anchor[:, :1] * w_left + theta_anchor[:, 1:] * w_right)
-    P = Q + np.eye(k) / phi ** 2
-    L = np.linalg.cholesky(P)
-    rhs = (prior_mean @ Q.T) + x_M / phi ** 2
-    mean = np.linalg.solve(P, rhs.T).T
-    z = np.random.default_rng(seed).standard_normal((n_blocks, k))
-    noise = np.linalg.solve(L.T, z.T).T
-    return mean + noise

@@ -27,6 +27,8 @@ from .sampling import ar1_bridge
 _LOG_2PI = np.log(2.0 * np.pi)
 # log grid on which each phi^2 posterior is first located
 _COARSE = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 500))
+# initial Metropolis proposal scale of the (eta, b) lattice and side chains
+_SCALE_INIT = 0.3
 
 
 def _interior_residuals(data: SsmDataset, truth: SsmTruth):
@@ -143,7 +145,7 @@ class SsmPhiPosterior:
 @dataclass(frozen=True)
 class SsmPhiLattice:
     """Normalized phi^2 posteriors of one dataset at several etas: row i of
-    phi2 and log_density, shape (E, n_grid), is the posterior at etas[i]."""
+    phi2 and log_density, shape (E, 801), is the posterior at etas[i]."""
 
     etas: np.ndarray
     phi2: np.ndarray
@@ -165,15 +167,15 @@ class SsmPhiLattice:
                                               len(r))
         if kind != "product":
             raise ParameterError(f"kind must be pooled or product, got {kind!r}")
-        # one (J, n_grid) array per eta, never an (E, J, n_grid) one
+        # one (J, 801) array per eta, never an (E, J, 801) one
         return np.array([np.sum(anchor_pair_log_predictive(r, t, w))
                          for t, w in zip(self.phi2, log_w)])
 
 
-def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth, etas,
-                          n_grid: int = 801) -> SsmPhiLattice:
+def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth,
+                          etas) -> SsmPhiLattice:
     """Locate each eta's phi^2 posterior on a coarse log grid, then refine
-    it on its own log grid of n_grid points; all etas at once."""
+    it on its own log grid of 801 points; all etas at once."""
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if np.any(etas < 0):
         raise ParameterError("eta must be nonnegative")
@@ -185,7 +187,7 @@ def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth, etas,
     last = n - 1 - np.argmax(keep[:, ::-1], axis=1)
     lo = _COARSE[np.maximum(first - 1, 0)]
     hi = _COARSE[np.minimum(last + 1, n - 1)]
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), n_grid, axis=1))
+    grid = np.exp(np.linspace(np.log(lo), np.log(hi), 801, axis=1))
     lp = log_post(grid, etas)
     lp -= np.max(lp, axis=1, keepdims=True)
     norm = np.trapezoid(np.exp(lp), grid, axis=1)
@@ -193,10 +195,10 @@ def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth, etas,
                          log_density=lp - np.log(norm)[:, None])
 
 
-def build_ssm_phi_posterior(data: SsmDataset, truth: SsmTruth, eta: float,
-                            n_grid: int = 801) -> SsmPhiPosterior:
+def build_ssm_phi_posterior(data: SsmDataset, truth: SsmTruth,
+                            eta: float) -> SsmPhiPosterior:
     """The phi^2 posterior at one eta: a lattice of one row."""
-    return build_ssm_phi_lattice(data, truth, [eta], n_grid).row(0)
+    return build_ssm_phi_lattice(data, truth, [eta]).row(0)
 
 
 def ssm_empirical_losses(data_train: SsmDataset, data_calib: SsmDataset,
@@ -210,7 +212,7 @@ def ssm_empirical_losses(data_train: SsmDataset, data_calib: SsmDataset,
 def ssm_eta_b_grid_posterior(train: SsmDataset, calib: SsmDataset,
                              truth: SsmTruth, grid, n_iter: int = 30000,
                              burn_in: int = 10000, thin: int = 20,
-                             seed: int = 0, scale_init: float = 0.3):
+                             seed: int = 0):
     """Lattice posterior over (eta, b) from the robust-loss update.
 
     One Metropolis chain per lattice point, advanced as a single batched
@@ -227,7 +229,7 @@ def ssm_eta_b_grid_posterior(train: SsmDataset, calib: SsmDataset,
     init = np.tile(target.init_state(), (len(pts), 1))
     draws, _ = rwm_batch(lambda st: target(st, etas, beta=betas), init,
                          n_iter=n_iter, burn_in=burn_in, thin=thin,
-                         seed=seed, scale_init=scale_init)
+                         seed=seed, scale_init=_SCALE_INIT)
     phi2 = np.exp(draws[:, :, 0])                                # (P, T)
     r = anchor_residuals(calib)
     log_w = -np.log(phi2.shape[1])
@@ -240,8 +242,7 @@ def ssm_eta_b_grid_posterior(train: SsmDataset, calib: SsmDataset,
 
 def ssm_eta_b_nested_draws(train: SsmDataset, calib: SsmDataset,
                            truth: SsmTruth, bounds, n_outer: int = 4000,
-                           inner_len: int = 200, seed: int = 0,
-                           scale_init: float = 0.3):
+                           inner_len: int = 200, seed: int = 0):
     """(eta, b) draws from the nested sampler matching the lattice target.
 
     The side chains (one per calibration block) live on the training
@@ -259,7 +260,7 @@ def ssm_eta_b_nested_draws(train: SsmDataset, calib: SsmDataset,
         eta, b = float(s[0]), float(s[1])
         draws, _ = rwm_batch(lambda st: target(st, eta, beta=1.0 / b),
                              phis, n_iter=inner_len, burn_in=inner_len - 1,
-                             thin=1, seed=sd, scale_init=scale_init)
+                             thin=1, seed=sd, scale_init=_SCALE_INIT)
         return draws[:, 0, :]
 
     def log_calib(phis):

@@ -5,8 +5,9 @@ qualitative or quantitative property of the full pipeline: closed-form
 oracles against Monte Carlo and quadrature, concentration behaviour of the
 hyperparameter posteriors, agreement between independent samplers, risk
 ratio directions, estimator identities, and bit-exact replay.  These are the
-slowest tests in the suite; run them with -k "not acceptance" excluded for
-quick iteration.
+slowest tests in the suite.  The three nested-sampler cases carry the slow
+marker: pytest -m "not slow" leaves them out, and pytest -k "not
+test_acceptance" leaves out the whole file.
 """
 
 import numpy as np
@@ -25,9 +26,8 @@ from gbcal.hypercal import (SGrid, grid_posterior_from_values,
 from gbcal.oracles import (ConjStats, MixtureStats, aghq_marginal,
                            conj_pooled_log_predictive, conj_power_posterior,
                            conj_power_sample, conj_product_log_predictive,
-                           interior_probability_table, laplace_marginal,
-                           mixture_eta_smi, mixture_gamma_smi,
-                           mixture_pooled_loss_gamma,
+                           interior_probability_table, mixture_eta_smi,
+                           mixture_gamma_smi, mixture_pooled_loss_gamma,
                            mixture_product_loss_gamma)
 from gbcal.sampling import rwm_batch
 from gbcal.ssm import (SsmJointTarget, ssm_empirical_losses,

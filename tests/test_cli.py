@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gbcal.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_TOLERANCE,
-                       main)
+from gbcal.cli import EXIT_CONFIG, EXIT_OK, main
 from gbcal.datasets import read_modular_csv, read_ssm_csv
 
 
@@ -95,15 +94,29 @@ def test_every_key_a_branch_reads_is_accepted(tmp_path, capsys):
         ("risk-ratio", {"phi_M_star": 0.5, "n_total_blocks": 10, "d_x": 6,
                         "test_blocks": 20, "n_test_sets": 3, "eta1": 0.5,
                         "eta2": 1.0}),
+        ("oracle-check", {"suite": "table-f1", "table_n_rep": 10}),
     ]
     path = tmp_path / "cfg.json"
     for command, cfg in cases:
         path.write_text(json.dumps(dict(cfg, seed=3)))
         assert main([command, "--config", str(path), "--dry-run"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == dict(cfg, seed=3)
-    # oracle-check has no dry run: a tiny table runs, and may miss its bounds
-    path.write_text(json.dumps({"suite": "table-f1", "table_n_rep": 10}))
-    assert main(["oracle-check", "--config", str(path)]) != EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--jobs", "7", "--fast"],
+    ["calibrate", "--fast"],
+    ["simulate", "--jobs", "2"],
+    ["risk-ratio", "--fast"],
+    ["oracle-check", "mixture", "--jobs", "2"],
+])
+def test_flag_not_read_by_command_rejected(tmp_path, argv):
+    """--jobs is read only by study, --fast only by study and oracle-check;
+    any other command exits 2 on them before writing anything."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_config_rejected(tmp_path):
@@ -247,6 +260,31 @@ def test_oracle_check_suites_pass(suite):
 
 def test_oracle_check_table_fast():
     assert main(["oracle-check", "table-f1", "--fast"]) == EXIT_OK
+
+
+def test_oracle_check_dry_run_and_replay(tmp_path, capsys, monkeypatch):
+    """--dry-run echoes the resolved config and runs nothing; --out records
+    it, with the table budget that --fast chose, so the run replays; without
+    --out nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"suite": "table-f1", "table_n_rep": 10}))
+    assert main(["oracle-check", "--config", str(path), "--dry-run"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "suite": "table-f1", "table_n_rep": 10, "seed": 0}
+    assert main(["oracle-check", "mixture"]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["oracle-check", "table-f1", "--fast", "--seed", "2",
+                 "--out", str(first)]) == EXIT_OK
+    resolved = json.loads((first / "oracle_check_config.json").read_text())
+    assert resolved == {"command": "oracle_check", "suite": "table-f1",
+                        "table_n_rep": 2000, "seed": 2}
+    assert main(["oracle-check", "--config",
+                 str(first / "oracle_check_config.json"), "--fast",
+                 "--out", str(replay)]) == EXIT_OK
+    assert ((first / "interior_table.csv").read_bytes()
+            == (replay / "interior_table.csv").read_bytes())
 
 
 def test_oracle_check_unknown_suite(tmp_path):

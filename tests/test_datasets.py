@@ -7,15 +7,12 @@ from gbcal.datasets import (
     HyperPoint,
     MixtureTruth,
     ParameterError,
-    SimpleDataset,
-    SplitSpec,
     SsmTruth,
     read_modular_csv,
     read_ssm_csv,
     simulate_conjugate_normal,
     simulate_mixture,
     simulate_ssm,
-    split_dataset,
     split_ssm_blocks,
     write_modular_csv,
     write_ssm_csv,
@@ -23,10 +20,6 @@ from gbcal.datasets import (
 
 
 def test_hyperpoint_beta_b_reciprocal():
-    p = HyperPoint(eta=0.5, beta=2.0)
-    assert p.b_value == 0.5
-    q = HyperPoint(eta=0.5, b=0.25)
-    assert q.beta_value == 4.0
     with pytest.raises(ParameterError):
         HyperPoint(beta=2.0, b=0.3)
     # consistent pair is allowed
@@ -49,7 +42,6 @@ def test_simulate_mixture_sizes_and_determinism():
     assert d1.x1.n == 30 and d1.x2.n == 60
     assert np.array_equal(d1.x1.points, d2.x1.points)
     assert np.array_equal(d1.x2.points, d2.x2.points)
-    assert d1.ratio_alpha == 0.5
 
 
 def test_mixture_pure_component():
@@ -73,11 +65,9 @@ def test_simulate_ssm_shapes_and_anchor_set():
     d = simulate_ssm(truth, 10, 6, seed=2)
     assert d.x_all.shape == (10, 6)
     assert d.theta_anchor.shape == (10, 2)
-    assert len(d.anchor_index) == 20
-    pos = set(map(tuple, d.anchor_index))
-    assert all((b, 0) in pos and (b, 5) in pos for b in range(10))
-    assert len(d.missing_index) == 10 * 4
-    assert not pos & set(map(tuple, d.missing_index))
+    # the anchor set is each block's first and last position
+    assert np.array_equal(d.x_anchor, d.x_all[:, [0, 5]])
+    assert np.array_equal(d.x_missing, d.x_all[:, 1:5])
 
 
 def test_ssm_stationary_variance():
@@ -103,34 +93,39 @@ def test_simulate_conjugate_normal():
 
 
 def test_split_sizes():
-    data = SimpleDataset(np.arange(30.0))
-    tr, ca, te = split_dataset(data, SplitSpec(0.8, 0.2, 0.0, seed=5))
-    assert (tr.n, ca.n, te.n) == (24, 6, 0)
-    tr, ca, te = split_dataset(SimpleDataset(np.arange(522.0)),
-                               SplitSpec(4 / 6, 1 / 6, 1 / 6, seed=5))
-    assert (tr.n, ca.n, te.n) == (348, 87, 87)
+    d = simulate_ssm(SsmTruth(), 12, 4, seed=5)
+    for n_train in (0, 1, 7, 12):
+        tr, ca = split_ssm_blocks(d, n_train, seed=5)
+        assert (tr.n_blocks, ca.n_blocks) == (n_train, 12 - n_train)
+        assert tr.x_all.shape == (n_train, 4)
+        assert ca.theta_anchor.shape == (12 - n_train, 2)
 
 
 def test_split_fraction_validation():
+    d = simulate_ssm(SsmTruth(), 5, 4, seed=0)
     with pytest.raises(ParameterError):
-        SplitSpec(0.5, 0.4, 0.2)
+        split_ssm_blocks(d, 6, seed=0)
     with pytest.raises(ParameterError):
-        SplitSpec(-0.1, 1.1, 0.0)
+        split_ssm_blocks(d, -1, seed=0)
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(0, 200),
-       k=st.floats(0.05, 0.9),
+@given(n_blocks=st.integers(1, 40), frac=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 31))
-def test_split_is_partition(n, k, seed):
-    data = SimpleDataset(np.random.default_rng(seed).standard_normal(n))
-    spec = SplitSpec(k, (1 - k) / 2, 1 - k - (1 - k) / 2, seed=seed)
-    parts = split_dataset(data, spec)
-    merged = np.sort(np.concatenate([p.points for p in parts]))
-    assert np.array_equal(merged, np.sort(data.points))
-    again = split_dataset(data, spec)
+def test_split_is_partition(n_blocks, frac, seed):
+    d = simulate_ssm(SsmTruth(), n_blocks, 4, seed=seed)
+    n_train = int(round(frac * n_blocks))
+    parts = split_ssm_blocks(d, n_train, seed=seed)
+    merged = np.concatenate([p.x_all for p in parts])
+    order = np.lexsort(merged.T[::-1])
+    ref = np.lexsort(d.x_all.T[::-1])
+    assert np.array_equal(merged[order], d.x_all[ref])
+    # anchors travel with their blocks
+    anchors = np.concatenate([p.theta_anchor for p in parts])
+    assert np.array_equal(anchors[order], d.theta_anchor[ref])
+    again = split_ssm_blocks(d, n_train, seed=seed)
     for a, b in zip(parts, again):
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.x_all, b.x_all)
 
 
 def test_split_ssm_blocks_partition():

@@ -9,7 +9,7 @@ from gbcal.datasets import (ParameterError, SsmTruth, simulate_ssm,
 from gbcal.evaluation import (SsmStudyConfig, _ssm_eta_posterior,
                               _ssm_exact_block_integrals,
                               concentration_diagnostics, pooled_limit_distance,
-                              risk_ratio_pooled, risk_ratio_product,
+                              risk_ratio_product,
                               run_ssm_replicate, ssm_exact_block_log_ratio,
                               ssm_replicate_study)
 from gbcal.hypercal import SGrid, grid_posterior_from_values
@@ -31,14 +31,6 @@ def test_risk_ratio_antisymmetry_in_log():
     fwd = risk_ratio_product(0.3, 0.9, tests, pred)
     rev = risk_ratio_product(0.9, 0.3, tests, pred)
     assert np.allclose(fwd.per_set_log_ratios, -rev.per_set_log_ratios)
-
-
-def test_risk_ratio_pooled_uses_joint_density():
-    tests = [np.array([1.0, 2.0])]
-    pooled = lambda s, z: float(-s * np.sum(z))
-    rep = risk_ratio_pooled(2.0, 1.0, tests, pooled)
-    assert rep.value == pytest.approx(np.exp(-6.0 + 3.0))
-    assert rep.kind == "pooled"
 
 
 def test_risk_ratio_drops_nonfinite_sets():

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
-from gbcal.datasets import ParameterError, SimpleDataset
-from gbcal.hypercal import (GridPosterior, SGrid, build_grid_posterior,
-                            compute_estimator_set, estimate_posterior_mean,
-                            estimate_posterior_mode, grid_posterior_from_values,
-                            harmonic_mean_estimator, kl_estimator,
-                            log_pointwise_predictive, log_pooled_predictive,
-                            log_product_predictive, nested_mcmc,
-                            prior_exponential, prior_improper_flat,
-                            prior_uniform, waic_estimator)
-from gbcal.losses import gaussian_model
+from gbcal.datasets import ParameterError, SsmTruth, simulate_ssm
+from gbcal.hypercal import (SGrid, compute_estimator_set,
+                            estimate_posterior_mean, estimate_posterior_mode,
+                            grid_posterior_from_values,
+                            harmonic_mean_estimator, kl_estimator, nested_mcmc,
+                            prior_uniform)
+from gbcal.ssm import anchor_residuals, build_ssm_phi_lattice
 
 
 def gaussian_grid_posterior(mu=0.45, sd=0.1, kind="product", n=41, upper=1.0):
@@ -42,11 +40,6 @@ def test_priors():
     u = prior_uniform(2.0)
     assert u(1.0) == pytest.approx(-np.log(2.0))
     assert u(2.5) == -np.inf
-    e = prior_exponential(1 / 3)
-    assert e(0.0) == pytest.approx(np.log(1 / 3))
-    assert e(3.0) == pytest.approx(np.log(1 / 3) - 1.0)
-    f = prior_improper_flat()
-    assert f(100.0) == 0.0 and f(-1.0) == -np.inf
 
 
 def test_grid_posterior_normalizes_to_one():
@@ -158,89 +151,58 @@ def test_export_csv_log_post_norm_is_log_density(tmp_path):
                        rtol=0.0, atol=1e-9)
 
 
-# --- Monte Carlo predictives ------------------------------------------------
+# --- lattice predictives ----------------------------------------------------
+
+def _ssm_lattice(etas):
+    truth = SsmTruth()
+    train = simulate_ssm(truth, 8, 6, seed=21)
+    calib = simulate_ssm(truth, 5, 6, seed=22)
+    return build_ssm_phi_lattice(train, truth, etas), train, calib, truth
+
+
+def _invgamma_anchor_log_predictive(train, truth, r, m):
+    """At eta = 0 phi^2 | train is InvGamma(a + nA/2, b + SA/2), so m anchor
+    emissions with residual sum of squares r have a Student-t predictive."""
+    a = truth.invgamma_a + train.n_blocks
+    b = truth.invgamma_b + 0.5 * np.sum(anchor_residuals(train))
+    return (a * np.log(b) - gammaln(a) + gammaln(a + m / 2)
+            - m / 2 * np.log(2 * np.pi) - (a + m / 2) * np.log(b + r / 2))
+
 
 def test_pointwise_predictive_matches_closed_form():
-    """phi ~ N(m, v) posterior, y | phi ~ N(phi, 1): the predictive is
-    N(m, v + 1) exactly."""
-    m, v = 0.3, 0.25
-    rng = np.random.default_rng(0)
-    draws = m + np.sqrt(v) * rng.standard_normal(200000)
-    model = gaussian_model(var=1.0)
-    for y in (-1.0, 0.3, 2.0):
-        got = log_pointwise_predictive(draws, model, y)
-        ref = stats.norm.logpdf(y, loc=m, scale=np.sqrt(v + 1))
-        assert got == pytest.approx(ref, abs=5e-3)
-
-
-def test_product_predictive_additivity():
-    rng = np.random.default_rng(1)
-    draws = rng.standard_normal(5000)
-    model = gaussian_model(var=1.0)
-    y = np.array([0.5, -0.2, 1.1])
-    total = log_product_predictive(draws, model, y)
-    parts = sum(log_pointwise_predictive(draws, model, yi) for yi in y)
-    assert total == pytest.approx(parts, abs=1e-10)
+    lattice, train, calib, truth = _ssm_lattice([0.0, 1.0])
+    r = anchor_residuals(calib)
+    ref = _invgamma_anchor_log_predictive(train, truth, r, 2)
+    assert np.allclose(lattice.row(0).block_log_predictive(calib), ref,
+                       rtol=0.0, atol=1e-8)
+    assert lattice.log_predictive(calib, "product")[0] == pytest.approx(
+        np.sum(ref), abs=1e-8)
 
 
 def test_pooled_predictive_matches_closed_form():
-    m, v = 0.0, 0.5
-    rng = np.random.default_rng(2)
-    draws = m + np.sqrt(v) * rng.standard_normal(400000)
-    model = gaussian_model(var=1.0)
-    y = np.array([0.2, -0.4])
-    J = len(y)
-    Sigma = v * np.ones((J, J)) + np.eye(J)
-    ref = stats.multivariate_normal.logpdf(y, mean=np.full(J, m), cov=Sigma)
-    assert log_pooled_predictive(draws, model, y) == pytest.approx(ref, abs=5e-3)
+    lattice, train, calib, truth = _ssm_lattice([0.0, 1.0])
+    r = anchor_residuals(calib)
+    ref = _invgamma_anchor_log_predictive(train, truth, np.sum(r), 2 * len(r))
+    assert lattice.log_predictive(calib, "pooled")[0] == pytest.approx(
+        ref, abs=1e-8)
+    assert lattice.row(0).pooled_log_predictive(calib) == pytest.approx(
+        ref, abs=1e-8)
 
 
-def test_pooled_predictive_warns_on_degenerate_weights():
-    model = gaussian_model(var=0.01)
-    draws = np.linspace(-50, 50, 1000)
-    with pytest.warns(UserWarning, match="dominated by few draws"):
-        log_pooled_predictive(draws, model, np.array([0.0]))
-
-
-def test_build_grid_posterior_with_exact_sampler():
-    """Conjugate setup: prior flat on phi, x ~ N(phi, 1).  The calibration
-    posterior over eta has a known shape we can cross-check by quadrature."""
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(50) + 0.5
-    y = rng.standard_normal(20) + 0.5
-    model = gaussian_model(var=1.0)
-    xbar, n = float(np.mean(x)), len(x)
-    grid = SGrid.regular([(0.05, 1.0)], ["eta"], 21)
-
-    def sampler_factory(s, seed):
-        eta = s[0]
-        r = np.random.default_rng(seed)
-        return xbar + r.standard_normal(40000) / np.sqrt(n * eta)
-
-    gp = build_grid_posterior("product", grid, prior_uniform(1.0), y,
-                              sampler_factory, model, seed=0)
-    # closed form: predictive per point is N(xbar, 1 + 1/(n eta))
-    etas = grid.axes[0]
-    ref = np.array([np.sum(stats.norm.logpdf(y, xbar, np.sqrt(1 + 1 / (n * e))))
-                    for e in etas])
-    ref_gp = grid_posterior_from_values("product", grid, ref,
-                                        prior_uniform(1.0)(etas))
-    assert gp.mean()[0] == pytest.approx(ref_gp.mean()[0], abs=0.02)
-
-
-def test_build_grid_posterior_isolates_failures():
-    model = gaussian_model(var=1.0)
-    grid = SGrid.regular([(0.1, 1.0)], ["eta"], 10)
-
-    def factory(s, seed):
-        if abs(s[0] - grid.axes[0][4]) < 1e-12:
-            raise RuntimeError("boom")
-        return np.random.default_rng(seed).standard_normal(2000)
-
-    with pytest.warns(UserWarning):
-        gp = build_grid_posterior("product", grid, prior_improper_flat(),
-                                  np.array([0.0]), factory, model)
-    assert np.isfinite(gp.mean()[0])
+def test_product_predictive_additivity():
+    lattice, _, calib, _ = _ssm_lattice([0.0, 0.3, 1.0, 4.0])
+    total = lattice.log_predictive(calib, "product")
+    per_block = [lattice.log_predictive(calib.subset([j]), "product")
+                 for j in range(calib.n_blocks)]
+    assert np.allclose(total, np.sum(per_block, axis=0), rtol=0.0, atol=1e-10)
+    for i in range(len(lattice.etas)):
+        assert total[i] == pytest.approx(
+            np.sum(lattice.row(i).block_log_predictive(calib)), abs=1e-10)
+    # one block: the pooled and product predictives coincide
+    one = calib.subset([2])
+    assert np.allclose(lattice.log_predictive(one, "pooled"),
+                       lattice.log_predictive(one, "product"),
+                       rtol=0.0, atol=1e-12)
 
 
 # --- estimators -------------------------------------------------------------
@@ -294,23 +256,6 @@ def test_kl_estimator_recovers_sharp_posterior():
     assert hp.eta == pytest.approx(s_star, abs=0.02)
 
 
-def test_waic_estimator_gaussian_location():
-    """WAIC over a tempering grid for the conjugate normal: compare the
-    argmin against a direct evaluation of the same formula."""
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(60)
-    xbar, n = float(np.mean(x)), len(x)
-    model = gaussian_model(var=1.0)
-    grid = SGrid.regular([(0.1, 1.5)], ["eta"], 8)
-    draws_per_s = [xbar + np.random.default_rng(7 + i).standard_normal(30000)
-                   / np.sqrt(n * e) for i, e in enumerate(grid.axes[0])]
-    hp, waic = waic_estimator(grid, draws_per_s, model, x)
-    assert len(waic) == 8
-    assert np.all(np.isfinite(waic))
-    lo, hi = grid.axes[0][0], grid.axes[0][-1]
-    assert lo <= hp.eta <= hi
-
-
 def test_nested_mcmc_rejects_nan_calibration_score():
     # a NaN score used to be accepted, after which every proposal was
     with pytest.raises(ParameterError, match="NaN"):
@@ -328,7 +273,6 @@ def test_nested_mcmc_product_matches_grid_posterior():
     rng = np.random.default_rng(6)
     xbar = 0.2
     y = 0.2 + rng.standard_normal(J)
-    model = gaussian_model(var=1.0)
 
     grid = SGrid.regular([(0.05, 1.0)], ["eta"], 41)
     etas = grid.axes[0]

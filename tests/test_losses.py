@@ -1,157 +1,70 @@
+"""The losses of the state-space joint target: the log score and the beta
+loss on the interior emissions, read off SsmJointTarget as the change in
+the target between eta = 1 and eta = 0 (eta multiplies the data term)."""
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from scipy import integrate, stats
 
-from gbcal.datasets import (HyperPoint, ModularDataset, ParameterError,
-                            SimpleDataset)
-from gbcal.losses import (LossSpec, beta_loss, gaussian_model, neg_log_lik,
-                          power_integral_quadrature, shifted_gaussian_model,
-                          smi_loss_eta, smi_loss_eta_beta, smi_loss_gamma)
+from gbcal.datasets import SsmTruth, simulate_ssm
+from gbcal.ssm import SsmJointTarget
 
 
-def test_loss_spec_validation():
-    LossSpec("NegLogLik", HyperPoint())
-    with pytest.raises(ParameterError):
-        LossSpec("BetaLoss", HyperPoint())          # no exponent
-    with pytest.raises(ParameterError):
-        LossSpec("BetaLoss", HyperPoint(beta=1.0))  # log-score limit
-    with pytest.raises(ParameterError):
-        LossSpec("SmiGamma", HyperPoint())
-    with pytest.raises(ParameterError):
-        LossSpec("SmiEta", HyperPoint(beta=2.0))
-    with pytest.raises(ParameterError):
-        LossSpec("Nope", HyperPoint())
-    LossSpec("SmiEtaBeta", HyperPoint(eta=0.5, b=2.0))
+def _target_and_state(logt=0.0, n_blocks=3, seed=0):
+    truth = SsmTruth()
+    data = simulate_ssm(truth, n_blocks, 6, seed=seed)
+    target = SsmJointTarget(data, truth)
+    s = target.init_state()
+    s[0] = logt
+    return target, s
+
+
+def _loss(target, state, beta=None):
+    """The data term the target subtracts at eta = 1."""
+    states = state[None, :]
+    return float(target(states, 0.0, beta=beta)[0]
+                 - target(states, 1.0, beta=beta)[0])
 
 
 def test_neg_log_lik_gaussian():
-    m = gaussian_model(var=2.0)
-    x = np.array([0.5, -1.0])
-    ref = float(np.sum(0.5 * np.log(2 * np.pi * 2.0) + x ** 2 / 4.0))
-    assert neg_log_lik(m, 0.0, x) == pytest.approx(ref)
-    assert neg_log_lik(m, 0.0, SimpleDataset(np.empty(0))) == 0.0
-
-
-def test_neg_log_lik_infinite_support_violation():
-    # a model giving zero density at a point must yield +inf with a warning
-    m = gaussian_model(var=1.0)
-    bad = lambda x, phi: np.where(np.asarray(x) > 0, m.log_density(x, phi), -np.inf)
-    from gbcal.losses import ObservationModel
-    with pytest.warns(UserWarning):
-        val = neg_log_lik(ObservationModel(bad), 0.0, np.array([-1.0, 1.0]))
-    assert val == np.inf
-
-
-def test_power_integral_closed_form_vs_quadrature():
-    m = gaussian_model(var=1.7)
-    for beta in (0.5, 0.9, 1.3, 3.0):
-        cf = m.power_integral(0.3, beta)
-        gh = power_integral_quadrature(m, 0.3, beta, "GaussHermite")
-        tz = power_integral_quadrature(m, 0.3, beta, "Trapezoid")
-        assert gh == pytest.approx(cf, rel=1e-10)
-        assert tz == pytest.approx(cf, rel=1e-8)
+    target, s = _target_and_state(logt=np.log(2.0), seed=1)
+    ref = -np.sum(stats.norm.logpdf(target.x_M, s[1:], np.sqrt(2.0)))
+    assert _loss(target, s) == pytest.approx(ref, rel=1e-12)
 
 
 def test_power_integral_normalization_at_beta_one():
-    m = gaussian_model(var=0.4)
-    assert m.power_integral(0.0, 1.0) == pytest.approx(1.0)
-    assert power_integral_quadrature(m, 0.0, 1.0) == pytest.approx(1.0, rel=1e-10)
+    """At beta = 1 the beta loss is the log score plus the power integral
+    of each interior emission density, which is 1."""
+    target, s = _target_and_state(logt=-0.4, seed=2)
+    assert _loss(target, s, beta=1.0) == pytest.approx(
+        _loss(target, s) + target.nM, rel=1e-12)
+    assert integrate.quad(lambda x: stats.norm.pdf(x, 0.3, np.exp(-0.2)),
+                          -np.inf, np.inf)[0] == pytest.approx(1.0, rel=1e-10)
 
 
-def test_beta_loss_against_direct_formula():
-    m = gaussian_model(var=1.0)
-    x = np.array([0.2, -0.7, 1.5])
-    beta = 1.4
-    p = np.exp(m.log_density(x, 0.0))
-    ref = (-np.sum(p ** (beta - 1)) / (beta - 1)
-           + len(x) / beta * beta ** -0.5 * (2 * np.pi) ** ((1 - beta) / 2))
-    assert beta_loss(m, 0.0, x, beta) == pytest.approx(ref)
-
-
-def test_beta_loss_rejects_beta_one_and_nonpositive():
-    m = gaussian_model(var=1.0)
-    with pytest.raises(ParameterError):
-        beta_loss(m, 0.0, np.array([0.1]), 1.0)
-    with pytest.raises(ParameterError):
-        beta_loss(m, 0.0, np.array([0.1]), 0.0)
-
-
-def test_beta_loss_gradient_matches_finite_difference():
-    """d/dphi of the loss equals the analytic influence-weighted score."""
-    m = gaussian_model(var=1.0)
-    x = np.array([0.3, 2.0, -1.1])
-    beta = 1.5
-    phi = 0.4
-    h = 1e-6
-    fd = (beta_loss(m, phi + h, x, beta) - beta_loss(m, phi - h, x, beta)) / (2 * h)
-    # analytic: sum_i p^{beta-1} * (phi - x_i); the integral term is phi-free
-    p = np.exp(m.log_density(x, phi))
-    grad = float(np.sum(p ** (beta - 1) * (phi - x)))
-    assert fd == pytest.approx(grad, rel=1e-5)
+def test_power_integral_closed_form_vs_quadrature():
+    """The beta loss -sum_i (p_i^(beta-1) - 1)/(beta-1)
+    + (nM/beta) int p^beta, with the integral found by quadrature."""
+    t = 1.7
+    target, s = _target_and_state(logt=np.log(t), seed=3)
+    p = stats.norm.pdf(target.x_M, s[1:], np.sqrt(t))
+    for beta in (0.5, 0.9, 1.3, 3.0):
+        power = integrate.quad(
+            lambda x: stats.norm.pdf(x, 0.3, np.sqrt(t)) ** beta,
+            -np.inf, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+        ref = (-np.sum(p ** (beta - 1) - 1.0) / (beta - 1)
+               + target.nM / beta * power)
+        assert _loss(target, s, beta=beta) == pytest.approx(ref, rel=1e-9)
 
 
 def test_beta_loss_downweights_outliers():
-    """Moving a far outlier has much less effect at beta > 1 than the MLE loss."""
-    m = gaussian_model(var=1.0)
-    base = np.array([0.1, -0.2, 0.05])
-    with_out = np.append(base, 8.0)
-    with_far = np.append(base, 12.0)
-    d_nll = neg_log_lik(m, 0.0, with_far) - neg_log_lik(m, 0.0, with_out)
-    d_beta = beta_loss(m, 0.0, with_far, 1.5) - beta_loss(m, 0.0, with_out, 1.5)
-    assert d_nll > 30
+    """Moving a far interior outlier has much less effect at beta > 1 than
+    under the log score."""
+    target, s = _target_and_state(logt=0.0, seed=4)
+    out, far = s.copy(), s.copy()
+    out[1] = target.x_M[0] - 8.0
+    far[1] = target.x_M[0] - 12.0
+    d_nll = _loss(target, far) - _loss(target, out)
+    d_beta = _loss(target, far, beta=1.5) - _loss(target, out, beta=1.5)
+    assert d_nll == pytest.approx(40.0, rel=1e-9)
     assert abs(d_beta) < 1e-6
-
-
-def test_smi_eta_additivity():
-    m1 = gaussian_model(var=16.0)
-    m2 = shifted_gaussian_model(var=1.0)
-    data = ModularDataset(SimpleDataset(np.array([0.5, -1.0])),
-                          SimpleDataset(np.array([1.2, 0.1, 0.7])))
-    phi, th = 0.2, 0.4
-    for eta in (0.0, 0.3, 1.0):
-        ref = (neg_log_lik(m1, phi, data.x1)
-               + eta * neg_log_lik(m2, (phi, th), data.x2))
-        assert smi_loss_eta(m1, m2, phi, th, data, eta) == pytest.approx(ref)
-
-
-def test_smi_eta_beta_reduces_to_smi_eta_in_the_limit():
-    """As beta -> 1 the tempered beta-loss approaches NLL up to a constant
-    shift; differences across phi values must converge."""
-    m1 = gaussian_model(var=16.0)
-    m2 = shifted_gaussian_model(var=1.0)
-    data = ModularDataset(SimpleDataset(np.array([0.5])),
-                          SimpleDataset(np.array([1.2, -0.3])))
-    eta, th = 0.7, 0.1
-
-    def diff(f):
-        return f(1.0) - f(0.0)
-
-    ref = diff(lambda p: smi_loss_eta(m1, m2, p, th, data, eta))
-    for beta in (1.01, 1.001, 1.0001):
-        got = diff(lambda p: smi_loss_eta_beta(m1, m2, p, th, data, eta, beta))
-        assert got == pytest.approx(ref, abs=20 * (beta - 1))
-
-
-def test_smi_gamma_weights_marginal():
-    m1 = gaussian_model(var=16.0)
-    data = ModularDataset(SimpleDataset(np.array([0.5, -1.0])),
-                          SimpleDataset(np.array([1.2])))
-    marg = lambda phi: -0.5 * phi ** 2  # arbitrary smooth marginal
-    base = neg_log_lik(m1, 0.3, data.x1)
-    assert smi_loss_gamma(m1, marg, 0.3, data, 0.0) == pytest.approx(base)
-    assert smi_loss_gamma(m1, marg, 0.3, data, 0.6) == pytest.approx(base + 0.6 * 0.5 * 0.09)
-    with pytest.raises(ParameterError):
-        smi_loss_gamma(m1, marg, 0.3, data, 1.2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(beta=st.floats(0.3, 3.0).filter(lambda b: abs(b - 1) > 1e-3),
-       var=st.floats(0.1, 5.0),
-       phi=st.floats(-3.0, 3.0))
-def test_power_integral_closed_form_property(beta, var, phi):
-    m = gaussian_model(var=var)
-    assert m.power_integral(phi, beta) == pytest.approx(
-        beta ** -0.5 * (2 * np.pi * var) ** ((1 - beta) / 2), rel=1e-12)
-    # independent of the mean parameter
-    assert m.power_integral(phi, beta) == m.power_integral(0.0, beta)

@@ -4,7 +4,6 @@ import pytest
 from gbcal.datasets import MixtureTruth, ParameterError, simulate_mixture
 from gbcal.oracles import (
     MixtureStats,
-    mixture_conditional_theta,
     mixture_eta_smi,
     mixture_gamma_smi,
     mixture_optimal_gamma,
@@ -70,18 +69,6 @@ def test_influence_shrinks_variance():
     _, v0 = mixture_gamma_smi(s, 0.0)
     _, v1 = mixture_gamma_smi(s, 1.0)
     assert v1 < v0
-
-
-def test_conditional_theta():
-    s = make_stats(seed=6)
-    mean, var = mixture_conditional_theta(s, phi=0.0)
-    var_ref = 1.0 / (1.0 / s.s_theta_sq + s.n2 / s.sigma2_sq)
-    assert var == pytest.approx(var_ref)
-    rho = s.n2 * var_ref / s.sigma2_sq
-    assert mean == pytest.approx(rho * s.xbar2)
-    # linear in phi with slope -rho
-    m1, _ = mixture_conditional_theta(s, phi=1.0)
-    assert m1 - mean == pytest.approx(-rho)
 
 
 def test_improper_configuration_raises():

@@ -2,20 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gbcal.datasets import ParameterError, SsmTruth, simulate_ssm
-from gbcal.oracles import MixtureStats, mixture_conditional_theta
-from gbcal.sampling import (ChainConfig, adaptive_rwm, ar1_bridge,
-                            ess_initial_positive, rwm_batch,
-                            smi_two_stage_sample, ssm_conditional_theta)
-
-
-def test_chain_config_validation():
-    with pytest.raises(ParameterError):
-        ChainConfig(n_iter=100, burn_in=100)
-    with pytest.raises(ParameterError):
-        ChainConfig(thin=0)
-    with pytest.raises(ParameterError):
-        ChainConfig(target_accept=1.5)
+from gbcal.datasets import ParameterError, SsmTruth
+from gbcal.sampling import ar1_bridge, ess_initial_positive, rwm_batch
 
 
 def test_ess_iid_close_to_n():
@@ -41,12 +29,22 @@ def test_ess_degenerate_inputs():
     assert ess_initial_positive(np.array([1.0, 2.0])) == 2.0
 
 
+def _one_chain(log_target, init, n_iter, burn_in, thin, seed):
+    """One adaptive random-walk Metropolis chain: rwm_batch with a batch of
+    one, with log_target taking the state vector (a scalar in 1-d)."""
+    init = np.atleast_1d(np.asarray(init, dtype=float))
+    one = log_target if len(init) > 1 else (lambda x: log_target(x[0]))
+    draws, acc = rwm_batch(lambda st: [one(st[0])], init[None, :], n_iter,
+                           burn_in, thin, seed)
+    return draws[0], acc[0]
+
+
 def test_adaptive_rwm_standard_normal():
-    cfg = ChainConfig(n_iter=30000, burn_in=5000, thin=5, seed=3)
-    chain = adaptive_rwm(lambda t: -0.5 * t * t, cfg)
-    assert 0.2 < chain.accept_rate < 0.7
-    x = chain.draws[:, 0]
-    se = 1.0 / np.sqrt(chain.ess_estimate[0])
+    draws, acc = _one_chain(lambda t: -0.5 * t * t, 0.0, n_iter=30000,
+                            burn_in=5000, thin=5, seed=3)
+    assert 0.2 < acc < 0.7
+    x = draws[:, 0]
+    se = 1.0 / np.sqrt(ess_initial_positive(x))
     assert abs(np.mean(x)) < 4 * se
     assert abs(np.var(x) - 1.0) < 0.1
     assert stats.kstest(x[::5], "norm").pvalue > 1e-3
@@ -55,51 +53,30 @@ def test_adaptive_rwm_standard_normal():
 def test_adaptive_rwm_2d_correlated_gaussian():
     S = np.array([[1.0, 0.8], [0.8, 1.0]])
     P = np.linalg.inv(S)
-    cfg = ChainConfig(n_iter=40000, burn_in=8000, thin=4,
-                      init=np.zeros(2), seed=4)
-    chain = adaptive_rwm(lambda t: -0.5 * t @ P @ t, cfg)
-    C = np.cov(chain.draws.T)
+    draws, _ = _one_chain(lambda t: -0.5 * t @ P @ t, np.zeros(2),
+                          n_iter=40000, burn_in=8000, thin=4, seed=4)
+    C = np.cov(draws.T)
     assert np.allclose(C, S, atol=0.12)
 
 
 def test_adaptive_rwm_deterministic_in_seed():
-    cfg = ChainConfig(n_iter=2000, burn_in=500, seed=9)
-    c1 = adaptive_rwm(lambda t: -0.5 * t * t, cfg)
-    c2 = adaptive_rwm(lambda t: -0.5 * t * t, cfg)
-    assert np.array_equal(c1.draws, c2.draws)
+    d1, a1 = _one_chain(lambda t: -0.5 * t * t, 0.0, n_iter=2000,
+                        burn_in=500, thin=1, seed=9)
+    d2, a2 = _one_chain(lambda t: -0.5 * t * t, 0.0, n_iter=2000,
+                        burn_in=500, thin=1, seed=9)
+    assert np.array_equal(d1, d2) and a1 == a2
+    d3, _ = _one_chain(lambda t: -0.5 * t * t, 0.0, n_iter=2000,
+                       burn_in=500, thin=1, seed=10)
+    assert not np.array_equal(d1, d3)
 
 
 def test_adaptive_rwm_rejects_bad_targets():
-    cfg = ChainConfig(n_iter=100, burn_in=10)
     with pytest.raises(ParameterError):
-        adaptive_rwm(lambda t: -np.inf, cfg)
+        _one_chain(lambda t: -np.inf, 0.0, n_iter=100, burn_in=10, thin=10,
+                   seed=0)
     with pytest.raises(ParameterError):
-        adaptive_rwm(lambda t: np.nan, ChainConfig(n_iter=100, burn_in=10, init=1.0))
-
-
-def test_adaptive_rwm_is_one_chain_of_rwm_batch():
-    cfg = ChainConfig(n_iter=3000, burn_in=1000, thin=3, init=[0.5, -0.5],
-                      seed=11)
-    P = np.array([[2.0, 0.6], [0.6, 1.0]])
-    log_target = lambda t: -0.5 * t @ P @ t
-    chain = adaptive_rwm(log_target, cfg)
-    draws, acc = rwm_batch(lambda st: [log_target(x) for x in st],
-                           np.array([[0.5, -0.5]]), n_iter=3000, burn_in=1000,
-                           thin=3, seed=11)
-    assert np.array_equal(chain.draws, draws[0])
-    assert chain.accept_rate == acc[0]
-    assert np.array_equal(chain.log_density_trace,
-                          [log_target(x) for x in draws[0]])
-
-
-def test_chain_dump_csv(tmp_path):
-    cfg = ChainConfig(n_iter=500, burn_in=100, thin=2, seed=0)
-    chain = adaptive_rwm(lambda t: -0.5 * t * t, cfg)
-    p = tmp_path / "chain.csv"
-    chain.dump_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "iter,coord_0,log_density"
-    assert len(lines) == chain.n_draws + 1
+        _one_chain(lambda t: np.nan, 1.0, n_iter=100, burn_in=10, thin=10,
+                   seed=0)
 
 
 def test_rwm_batch_matches_per_chain_targets():
@@ -118,11 +95,11 @@ def test_rwm_batch_matches_per_chain_targets():
 
 
 def _rwm_batch_reference(log_target_batch, init, n_iter, burn_in, thin, seed,
-                         target_accept=None, scale_init=1.0):
+                         scale_init=1.0):
     """rwm_batch written plainly: a fresh proposal scale every step,
     out-of-place accept and adapt arithmetic and fancy-index updates."""
     B, d = init.shape
-    target = target_accept or (0.44 if d == 1 else 0.234)
+    target = 0.44 if d == 1 else 0.234
     rng = np.random.default_rng(seed)
     cur = init.copy()
     cur_lp = np.asarray(log_target_batch(cur), dtype=float)
@@ -177,22 +154,6 @@ def test_rwm_batch_rejects_nan_log_ratio():
                   seed=3)
 
 
-def test_two_stage_conditional_distribution():
-    """theta draws must follow the exact Gaussian conditional given phi."""
-    s = MixtureStats(n1=20, n2=30, sum_x1=2.0, sum_x2=40.0)
-    target = lambda p: -0.5 * p * p  # arbitrary phi posterior
-
-    def cond(phi, rng):
-        m, v = mixture_conditional_theta(s, phi)
-        return m + np.sqrt(v) * rng.standard_normal()
-
-    cfg = ChainConfig(n_iter=42000, burn_in=2000, thin=2, seed=6)
-    phis, thetas, chain = smi_two_stage_sample(target, cond, cfg)
-    m, v = mixture_conditional_theta(s, phis[:, 0])
-    z = (thetas - m) / np.sqrt(v)
-    assert stats.kstest(z[::10], "norm").pvalue > 1e-3
-
-
 def test_ar1_bridge_against_dense_conditional():
     """Bridge weights and covariance must match conditioning the stationary
     AR(1) joint Gaussian on the two endpoints."""
@@ -218,21 +179,3 @@ def test_ar1_bridge_against_dense_conditional():
 def test_ar1_bridge_requires_interior():
     with pytest.raises(ParameterError):
         ar1_bridge(SsmTruth(), 2)
-
-
-def test_ssm_conditional_theta_moments():
-    """Exact conditional draws must match the dense Gaussian posterior."""
-    truth = SsmTruth()
-    data = simulate_ssm(truth, 1, 6, seed=7)
-    phi = 0.8
-    w_left, w_right, Q, _ = ar1_bridge(truth, 6)
-    prior_mean = (data.theta_anchor[:, :1] * w_left
-                  + data.theta_anchor[:, 1:] * w_right)[0]
-    P = Q + np.eye(4) / phi ** 2
-    mean_ref = np.linalg.solve(P, Q @ prior_mean + data.x_missing[0] / phi ** 2)
-    cov_ref = np.linalg.inv(P)
-    draws = np.array([ssm_conditional_theta(data.x_missing, data.theta_anchor,
-                                            phi, truth, seed=100 + i)[0]
-                      for i in range(4000)])
-    assert np.allclose(draws.mean(axis=0), mean_ref, atol=0.03)
-    assert np.allclose(np.cov(draws.T), cov_ref, atol=0.03)
