@@ -397,7 +397,13 @@ def kl_estimator(gp: GridPosterior, predictive_sampler, predictive_logpdf,
     w = np.empty(_KL_CANDIDATES)
     se = np.empty(_KL_CANDIDATES)
     for i, sp in enumerate(cand):
-        vals = predictive_logpdf(sp, z)
+        vals = np.asarray(predictive_logpdf(sp, z), dtype=float)
+        if vals.shape != (len(z),):
+            raise ParameterError(f"predictive_logpdf returned shape "
+                                 f"{vals.shape}, expected ({len(z)},)")
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError("predictive_logpdf returned a non-finite "
+                                 f"log density at {sp}")
         w[i] = float(np.mean(vals))
         se[i] = float(np.std(vals) / np.sqrt(len(vals)))
     se = np.maximum(se, 1e-12)
@@ -405,6 +411,6 @@ def kl_estimator(gp: GridPosterior, predictive_sampler, predictive_logpdf,
         sm = UnivariateSpline(cand, w, w=1.0 / se, k=3, s=len(cand))
         fine = np.linspace(cand[0], cand[-1], _FINE_1D)
         best = float(fine[np.argmax(sm(fine))])
-    except Exception:
+    except ValueError:      # the spline's input checks; fitpack only warns
         best = float(cand[np.argmax(w)])
     return gp.to_hyperpoint([best] + [np.nan] * (gp.grid.ndim - 1))

@@ -70,6 +70,37 @@ def test_simulate_ssm_shapes_and_anchor_set():
     assert np.array_equal(d.x_missing, d.x_all[:, 1:5])
 
 
+def _simulate_ssm_numpy_loop(truth, n_blocks, d_x, seed):
+    """simulate_ssm with the AR(1) recursion written on numpy scalars."""
+    rng = np.random.default_rng(seed)
+    total = n_blocks * d_x
+    eps = rng.standard_normal(total)
+    theta = np.empty(total)
+    theta[0] = np.sqrt(truth.stationary_var) * eps[0]
+    for t in range(1, total):
+        theta[t] = truth.nu * theta[t - 1] + truth.sigma_ar * eps[t]
+    theta = theta.reshape(n_blocks, d_x)
+    sd = np.full((n_blocks, d_x), truth.phi_M_star)
+    sd[:, 0] = truth.phi_A_star
+    sd[:, -1] = truth.phi_A_star
+    x_all = theta + sd * rng.standard_normal((n_blocks, d_x))
+    return theta[:, [0, d_x - 1]], x_all
+
+
+@pytest.mark.parametrize("nu, sigma_ar", [(0.5, 0.7), (-0.93, 2.5),
+                                          (0.999, 0.01), (0.0, 1.0)])
+@pytest.mark.parametrize("n_blocks, d_x, seed", [(1, 2, 0), (1, 6, 1),
+                                                 (60, 6, 2), (37, 2, 3),
+                                                 (100, 9, 4)])
+def test_simulate_ssm_bitwise_equals_numpy_loop(nu, sigma_ar, n_blocks, d_x,
+                                                seed):
+    truth = SsmTruth(nu=nu, sigma_ar=sigma_ar, phi_M_star=0.5)
+    d = simulate_ssm(truth, n_blocks, d_x, seed)
+    theta_anchor, x_all = _simulate_ssm_numpy_loop(truth, n_blocks, d_x, seed)
+    assert np.array_equal(d.theta_anchor, theta_anchor)
+    assert np.array_equal(d.x_all, x_all)
+
+
 def test_ssm_stationary_variance():
     truth = SsmTruth()
     d = simulate_ssm(truth, 200000, 5, seed=9)

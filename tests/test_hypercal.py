@@ -256,6 +256,23 @@ def test_kl_estimator_recovers_sharp_posterior():
     assert hp.eta == pytest.approx(s_star, abs=0.02)
 
 
+@pytest.mark.parametrize("logpdf, match", [
+    (lambda sp, z: np.where(z > 0.6, np.nan, 0.0), "non-finite"),
+    (lambda sp, z: np.zeros(len(z) - 1), "shape"),
+], ids=["nan", "wrong_shape"])
+def test_kl_estimator_rejects_bad_predictive_scores(logpdf, match):
+    """A NaN score or a score array of the wrong shape is an error, not a
+    silent fall back to the raw argmax."""
+    gp = gaussian_grid_posterior(mu=0.62, sd=0.004)
+
+    def predictive_sampler(s, size, rng):
+        return s[0] + 0.05 * rng.standard_normal(size)
+
+    with pytest.raises(ParameterError, match=match):
+        kl_estimator(gp, predictive_sampler, logpdf, T=20, J_inner=50,
+                     seed=4)
+
+
 def test_nested_mcmc_rejects_nan_calibration_score():
     # a NaN score used to be accepted, after which every proposal was
     with pytest.raises(ParameterError, match="NaN"):
