@@ -27,42 +27,46 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# The config keys each command reads, per kind (simulate and calibrate) or
-# suite (oracle-check); study and risk-ratio have one kind, None.  seed and
-# the kind key itself are accepted everywhere they apply; any other key
-# exits 2 rather than being dropped.
-_SSM_DATA = {"phi_M_star", "n_total_blocks", "d_x"}
+# The config keys each command reads, with their defaults, per kind
+# (simulate and calibrate) or suite (oracle-check); study and risk-ratio
+# have one kind, None.  A default of None is resolved by the command from
+# --fast.  seed and the kind key itself are accepted everywhere they apply;
+# any other key exits 2 rather than being dropped.
+_SSM_DATA = {"phi_M_star": 1.0, "n_total_blocks": 60, "d_x": 6}
+_ETA_GRID = {"eta_upper": 1.0, "grid_points": 41}
 _CONFIG_KEYS = {
     "simulate": ("kind", "mixture", {
-        "mixture": {"lambda_star", "n1", "n2"},
-        "ssm": {"phi_M_star", "n_blocks", "d_x"},
-        "conjugate": {"mu_star", "n"},
+        "mixture": {"lambda_star": 0.9, "n1": 30, "n2": 60},
+        "ssm": {"phi_M_star": 1.0, "n_blocks": 60, "d_x": 6},
+        "conjugate": {"mu_star": 0.0, "n": 10},
     }),
     "calibrate": ("kind", "ssm", {
-        "ssm": _SSM_DATA | {"loss", "n_train_blocks", "eta_upper",
-                            "grid_points"},
-        "mixture": {"loss", "lambda_star", "n1", "n2", "J", "family",
-                    "eta_upper", "grid_points"},
+        "ssm": {**_SSM_DATA, **_ETA_GRID, "loss": "product",
+                "n_train_blocks": 10},
+        "mixture": {**_ETA_GRID, "loss": "product", "lambda_star": 0.9,
+                    "n1": 30, "n2": 60, "J": 1000, "family": "gamma"},
     }),
     "study": (None, None, {
-        None: _SSM_DATA | {"n_train_blocks", "n_replicates", "n_test_sets",
-                           "test_blocks", "eta_upper", "grid_points", "loss",
-                           "risk_method"},
+        None: {**_SSM_DATA, **_ETA_GRID, "n_train_blocks": 10,
+               "n_replicates": None, "n_test_sets": None, "test_blocks": 100,
+               "loss": "product", "risk_method": "simulate"},
     }),
     "risk_ratio": (None, None, {
-        None: _SSM_DATA | {"test_blocks", "n_test_sets", "eta1", "eta2"},
+        None: {**_SSM_DATA, "test_blocks": 100, "n_test_sets": 30,
+               "eta1": 0.5, "eta2": 1.0},
     }),
     "oracle_check": ("suite", "conjugate", {
-        "conjugate": set(), "mixture": set(), "laplace-aghq": set(),
-        "table-f1": {"table_n_rep"},
+        "conjugate": {}, "mixture": {}, "laplace-aghq": {},
+        "table-f1": {"table_n_rep": None},
     }),
 }
 
 
 def _load_config(args) -> dict:
-    """The config file, then the --seed flag (and oracle-check's suite);
-    seed defaults to 0.  A resolved config written by another command, an
-    unknown kind and a key the command and kind do not read are rejected."""
+    """The config file, then the --seed flag (and oracle-check's suite),
+    then the defaults of every key the command and kind read; seed defaults
+    to 0.  A resolved config written by another command, an unknown kind and
+    a key the command and kind do not read are rejected."""
     cfg = {}
     name = args.command.replace("-", "_")
     if args.config:
@@ -87,12 +91,16 @@ def _load_config(args) -> dict:
     except (KeyError, TypeError):
         raise SystemExit(_fail(EXIT_CONFIG, f"unknown {args.command} "
                                f"{kind_key} {kind!r}")) from None
-    unknown = set(cfg) - keys - {"seed", kind_key}
+    unknown = set(cfg) - set(keys) - {"seed", kind_key}
     if unknown:
         what = f"{args.command} {kind}" if kind_key else args.command
         raise SystemExit(_fail(EXIT_CONFIG, f"config keys not read by "
                                f"{what}: {sorted(unknown)}"))
     cfg.setdefault("seed", 0)
+    if kind_key:
+        cfg[kind_key] = kind
+    cfg.update({k: v for k, v in keys.items()
+                if v is not None and k not in cfg})
     return cfg
 
 
@@ -122,25 +130,23 @@ def _write_resolved(cfg: dict, args) -> Path | None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    kind = cfg.get("kind", "mixture")
+    kind = cfg["kind"]
     out = _write_resolved(cfg, args)
     if out is None:
         return EXIT_OK
     seed = cfg["seed"]
     meta = {"seed": seed, "kind": kind}
     if kind == "mixture":
-        truth = MixtureTruth(lambda_star=cfg.get("lambda_star", 0.9))
-        data = datasets.simulate_mixture(truth, cfg.get("n1", 30),
-                                         cfg.get("n2", 60), seed)
+        truth = MixtureTruth(lambda_star=cfg["lambda_star"])
+        data = datasets.simulate_mixture(truth, cfg["n1"], cfg["n2"], seed)
         datasets.write_modular_csv(out / "mixture.csv", data, meta)
     elif kind == "ssm":
-        truth = SsmTruth(phi_M_star=cfg.get("phi_M_star", 1.0))
-        data = datasets.simulate_ssm(truth, cfg.get("n_blocks", 60),
-                                     cfg.get("d_x", 6), seed)
+        truth = SsmTruth(phi_M_star=cfg["phi_M_star"])
+        data = datasets.simulate_ssm(truth, cfg["n_blocks"], cfg["d_x"], seed)
         datasets.write_ssm_csv(out / "ssm.csv", data, meta)
     else:                                       # conjugate
-        data = datasets.simulate_conjugate_normal(cfg.get("mu_star", 0.0),
-                                                  cfg.get("n", 10), seed)
+        data = datasets.simulate_conjugate_normal(cfg["mu_star"], cfg["n"],
+                                                  seed)
         with open(out / "conjugate.csv", "w") as fh:
             fh.write("block,pos,value,role\n")
             for i, v in enumerate(data.points):
@@ -151,31 +157,26 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
-    kind = cfg.get("kind", "ssm")
-    loss = cfg.get("loss", "product")
     out = _write_resolved(cfg, args)
     if out is None:
         return EXIT_OK
-    seed = cfg["seed"]
-    if kind == "ssm":
-        truth = SsmTruth(phi_M_star=cfg.get("phi_M_star", 1.0))
-        full = datasets.simulate_ssm(truth, cfg.get("n_total_blocks", 60),
-                                     cfg.get("d_x", 6), seed)
-        train, calib = datasets.split_ssm_blocks(
-            full, cfg.get("n_train_blocks", 10), seed + 1)
-        grid = hypercal.SGrid.regular([(0.0, cfg.get("eta_upper", 1.0))],
-                                      ["eta"], cfg.get("grid_points", 41))
+    seed, loss = cfg["seed"], cfg["loss"]
+    if cfg["kind"] == "ssm":
+        truth = SsmTruth(phi_M_star=cfg["phi_M_star"])
+        full = datasets.simulate_ssm(truth, cfg["n_total_blocks"], cfg["d_x"],
+                                     seed)
+        train, calib = datasets.split_ssm_blocks(full, cfg["n_train_blocks"],
+                                                 seed + 1)
+        grid = hypercal.SGrid.regular([(0.0, cfg["eta_upper"])], ["eta"],
+                                      cfg["grid_points"])
         gp = evaluation._ssm_eta_posterior(train, calib, truth, grid, loss)
     else:                                       # mixture
-        truth = MixtureTruth(lambda_star=cfg.get("lambda_star", 0.9))
-        data = datasets.simulate_mixture(truth, cfg.get("n1", 30),
-                                         cfg.get("n2", 60), seed)
-        calib = datasets.simulate_mixture(truth, cfg.get("J", 1000),
-                                          0, seed + 1).x1
+        truth = MixtureTruth(lambda_star=cfg["lambda_star"])
+        data = datasets.simulate_mixture(truth, cfg["n1"], cfg["n2"], seed)
+        calib = datasets.simulate_mixture(truth, cfg["J"], 0, seed + 1).x1
         stats = mix_oracle.MixtureStats.from_data(data)
-        grid = hypercal.SGrid.regular([(0.0, cfg.get("eta_upper", 1.0))],
-                                      [cfg.get("family", "gamma")],
-                                      cfg.get("grid_points", 41))
+        grid = hypercal.SGrid.regular([(0.0, cfg["eta_upper"])],
+                                      [cfg["family"]], cfg["grid_points"])
         gp = mix_oracle.mixture_grid_posterior(loss, stats, calib.points, grid)
     gp.export_csv(out / "posterior.csv")
     est = hypercal.compute_estimator_set(gp)
@@ -193,16 +194,13 @@ def cmd_study(args) -> int:
     if out is None:
         return EXIT_OK
     config = evaluation.SsmStudyConfig(
-        truth=SsmTruth(phi_M_star=cfg.get("phi_M_star", 1.0)),
-        n_total_blocks=cfg.get("n_total_blocks", 60),
-        n_train_blocks=cfg.get("n_train_blocks", 10),
-        d_x=cfg.get("d_x", 6),
+        truth=SsmTruth(phi_M_star=cfg["phi_M_star"]),
+        n_total_blocks=cfg["n_total_blocks"],
+        n_train_blocks=cfg["n_train_blocks"], d_x=cfg["d_x"],
         n_replicates=cfg["n_replicates"], n_test_sets=cfg["n_test_sets"],
-        test_blocks=cfg.get("test_blocks", 100),
-        eta_upper=cfg.get("eta_upper", 1.0),
-        grid_points=cfg.get("grid_points", 41),
-        kind=cfg.get("loss", "product"),
-        risk_method=cfg.get("risk_method", "simulate"), seed=cfg["seed"])
+        test_blocks=cfg["test_blocks"], eta_upper=cfg["eta_upper"],
+        grid_points=cfg["grid_points"], kind=cfg["loss"],
+        risk_method=cfg["risk_method"], seed=cfg["seed"])
     study = evaluation.ssm_replicate_study(config, jobs=args.jobs)
     study.write_jsonl(out / "study.jsonl")
     study.write_summary_csv(out / "study_summary.csv")
@@ -215,22 +213,16 @@ def cmd_risk_ratio(args) -> int:
     out = _write_resolved(cfg, args)
     if out is None:
         return EXIT_OK
-    seed = cfg["seed"]
-    truth = SsmTruth(phi_M_star=cfg.get("phi_M_star", 1.0))
-    full = datasets.simulate_ssm(truth, cfg.get("n_total_blocks", 60),
-                                 cfg.get("d_x", 6), seed)
-    posts = {}
-
-    def block_pred(eta, z):
-        if eta not in posts:
-            posts[eta] = ssm.build_ssm_phi_posterior(full, truth, eta)
-        return posts[eta].block_log_predictive(z)
-
-    tests = [datasets.simulate_ssm(truth, cfg.get("test_blocks", 100),
-                                   cfg.get("d_x", 6), seed + 7000 + k)
-             for k in range(cfg.get("n_test_sets", 30))]
-    rep = evaluation.risk_ratio_product(cfg.get("eta1", 0.5),
-                                        cfg.get("eta2", 1.0), tests, block_pred)
+    seed, eta1, eta2 = cfg["seed"], cfg["eta1"], cfg["eta2"]
+    truth = SsmTruth(phi_M_star=cfg["phi_M_star"])
+    full = datasets.simulate_ssm(truth, cfg["n_total_blocks"], cfg["d_x"], seed)
+    lattice = ssm.build_ssm_phi_lattice(full, truth, [eta1, eta2])
+    posts = {eta1: lattice.row(0), eta2: lattice.row(1)}
+    tests = [datasets.simulate_ssm(truth, cfg["test_blocks"], cfg["d_x"],
+                                   seed + 7000 + k)
+             for k in range(cfg["n_test_sets"])]
+    rep = evaluation.risk_ratio_product(
+        eta1, eta2, tests, lambda eta, z: posts[eta].block_log_predictive(z))
     with open(out / "risk_ratio.json", "w") as fh:
         json.dump({"s1": rep.s1, "s2": rep.s2, "value": rep.value,
                    "mean_log_ratio": rep.mean_log_ratio,
@@ -242,7 +234,7 @@ def cmd_risk_ratio(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
-    suite = cfg.setdefault("suite", "conjugate")
+    suite = cfg["suite"]
     if suite == "table-f1":
         cfg.setdefault("table_n_rep", 2000 if args.fast else 10 ** 4)
     # echoed on --dry-run, written only with --out: no stray files otherwise

@@ -16,7 +16,8 @@ from scipy.special import logsumexp
 from .datasets import ParameterError, SsmTruth, simulate_ssm, split_ssm_blocks
 from .hypercal import (GridPosterior, SGrid, compute_estimator_set,
                        grid_posterior_from_values, prior_uniform)
-from .ssm import anchor_pair_log_predictive, build_ssm_phi_lattice
+from .ssm import (anchor_pair_log_predictive, anchor_residuals,
+                  build_ssm_phi_lattice)
 # kept importable here: perfbench/spans.py wraps it at this module by name
 from .ssm import build_ssm_phi_posterior  # noqa: F401
 
@@ -209,14 +210,16 @@ def run_ssm_replicate(config: SsmStudyConfig, r: int):
                           int(rs[2]) + 1000 * k)
              for k in range(config.n_test_sets)]
 
-    @functools.cache
-    def block_pred(eta, k):
-        # each (refit, test set) pair is scored once; both comparisons
-        # share eta-hat's scores
-        return refit[eta].block_log_predictive(tests[k])
-
+    # each refit scores the anchor pairs of all test sets in one call, and
+    # both comparisons share eta-hat's scores; row k is test set k
+    r_all = np.concatenate([anchor_residuals(z) for z in tests])
+    scores = {eta: anchor_pair_log_predictive(r_all, post.phi2,
+                                              post.log_weights)
+              .reshape(config.n_test_sets, config.test_blocks)
+              for eta, post in refit.items()}
     sets = range(config.n_test_sets)
-    reports = {name: risk_ratio_product(eta_hat, eta_ref, sets, block_pred)
+    reports = {name: risk_ratio_product(eta_hat, eta_ref, sets,
+                                        lambda eta, k: scores[eta][k])
                for name, eta_ref in refs}
     return est, reports
 

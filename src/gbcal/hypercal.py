@@ -10,6 +10,7 @@ minimum-KL.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -99,14 +100,21 @@ class GridPosterior:
         n = _FINE_1D if self.grid.ndim == 1 else _FINE_2D
         return tuple(np.linspace(a[0], a[-1], n) for a in self.grid.axes)
 
+    @functools.cached_property
     def _fine_density(self):
+        """(axes, density) on the fine grid, evaluated once per instance;
+        the arrays are read-only because every caller shares them."""
         axes = self._fine_axes()
         if self.grid.ndim == 1:
-            return axes, np.exp(self.log_density(axes[0]))
-        return axes, np.exp(self._spline(*axes) - self._log_norm)
+            dens = np.exp(self.log_density(axes[0]))
+        else:
+            dens = np.exp(self._spline(*axes) - self._log_norm)
+        for a in (*axes, dens):
+            a.flags.writeable = False
+        return axes, dens
 
     def normalization_check(self) -> float:
-        axes, dens = self._fine_density()
+        axes, dens = self._fine_density
         total = dens
         for ax in reversed(axes):
             total = np.trapezoid(total, ax, axis=-1)
@@ -114,7 +122,7 @@ class GridPosterior:
 
     def marginal(self, axis: int = 0):
         """(grid, density) of the 1-d marginal along the chosen axis."""
-        axes, dens = self._fine_density()
+        axes, dens = self._fine_density
         if self.grid.ndim == 1:
             return axes[0], dens
         other = 1 - axis
@@ -142,7 +150,7 @@ class GridPosterior:
         """Draws from the splined density by fine-grid inversion (1-d) or
         cell sampling with jitter (2-d)."""
         rng = np.random.default_rng(seed)
-        axes, dens = self._fine_density()
+        axes, dens = self._fine_density
         if self.grid.ndim == 1:
             x = axes[0]
             cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2
@@ -310,7 +318,7 @@ def estimate_posterior_mode(gp: GridPosterior) -> HyperPoint:
     Near-ties resolve toward the smallest first-axis value, which prefers
     the less informative update.  A boundary mode is returned as-is.
     """
-    axes, dens = gp._fine_density()
+    axes, dens = gp._fine_density
     flat = dens.ravel()
     near = np.where(flat >= flat.max() * (1 - _TIE_TOL))[0]
     idx = near.min()

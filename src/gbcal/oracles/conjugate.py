@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from ..datasets import ParameterError, SimpleDataset
 from ..hypercal import golden_max
@@ -114,6 +114,8 @@ def conj_product_log_predictive(y, stats_: ConjStats, r) -> float | np.ndarray:
 
     r may be an array, in which case an array of sums is returned.
     """
+    from scipy import stats
+
     pts = y.points if isinstance(y, SimpleDataset) else np.asarray(y, dtype=float)
     pts = np.atleast_1d(pts)
     r_arr = np.asarray(r, dtype=float)
@@ -153,6 +155,8 @@ def conj_pooled_target_deriv(r, stats_: ConjStats):
 
 def _log_normal_ref(y: np.ndarray, stats_: ConjStats) -> float:
     """Log of prod_j N(y_j; xbar, u), the r -> infinity predictive limit."""
+    from scipy import stats
+
     return float(np.sum(stats.norm.logpdf(y, loc=stats_.xbar, scale=np.sqrt(stats_.u))))
 
 
@@ -199,6 +203,8 @@ _GH_NODES = 61
 
 def _elppd_objective(stats_: ConjStats):
     """Expected pointwise log predictive under the truth N(mu*, 1)."""
+    from scipy import stats
+
     nodes, weights = np.polynomial.hermite_e.hermegauss(_GH_NODES)
     y = stats_.mu_star + nodes
     w = weights / np.sqrt(2.0 * np.pi)

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gbcal import datasets, evaluation, ssm
 from gbcal.cli import EXIT_CONFIG, EXIT_OK, main
-from gbcal.datasets import read_modular_csv, read_ssm_csv
+from gbcal.datasets import SsmTruth, read_modular_csv, read_ssm_csv
 
 
 def test_simulate_mixture(tmp_path):
@@ -220,7 +226,11 @@ def test_study_fast(tmp_path):
 def test_study_fast_dry_run_resolves_sizes(capsys):
     assert main(["study", "--fast", "--dry-run"]) == EXIT_OK
     echoed = json.loads(capsys.readouterr().out)
-    assert echoed == {"seed": 0, "n_replicates": 20, "n_test_sets": 10}
+    assert echoed == {"seed": 0, "n_replicates": 20, "n_test_sets": 10,
+                      "phi_M_star": 1.0, "n_total_blocks": 60, "d_x": 6,
+                      "n_train_blocks": 10, "test_blocks": 100,
+                      "eta_upper": 1.0, "grid_points": 41,
+                      "loss": "product", "risk_method": "simulate"}
 
 
 def test_study_replays_from_resolved_config(tmp_path):
@@ -251,6 +261,114 @@ def test_risk_ratio_command(tmp_path):
     # Jensen: the mean log ratio never exceeds the log of the mean ratio
     assert np.isfinite(rep["mean_log_ratio"])
     assert rep["mean_log_ratio"] <= np.log(rep["value"]) + 1e-12
+
+
+def test_risk_ratio_matches_one_lattice_per_eta(tmp_path):
+    """The two etas share one lattice; risk_ratio.json is byte-identical to
+    scoring with a separately built one-row lattice per eta."""
+    cfg = {"phi_M_star": 0.5, "n_total_blocks": 12, "test_blocks": 20,
+           "n_test_sets": 4, "eta1": 0.3, "eta2": 1.0, "seed": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["risk-ratio", "--config", str(path), "--out",
+                 str(tmp_path)]) == EXIT_OK
+    truth = SsmTruth(phi_M_star=0.5)
+    full = datasets.simulate_ssm(truth, 12, 6, 2)
+    posts = {eta: ssm.build_ssm_phi_posterior(full, truth, eta)
+             for eta in (0.3, 1.0)}
+    tests = [datasets.simulate_ssm(truth, 20, 6, 2 + 7000 + k)
+             for k in range(4)]
+    rep = evaluation.risk_ratio_product(
+        0.3, 1.0, tests, lambda eta, z: posts[eta].block_log_predictive(z))
+    want = json.dumps({"s1": rep.s1, "s2": rep.s2, "value": rep.value,
+                       "mean_log_ratio": rep.mean_log_ratio,
+                       "mc_se": rep.mc_se, "n_test_sets": rep.n_test_sets},
+                      indent=2)
+    assert (tmp_path / "risk_ratio.json").read_text() == want
+
+
+_SSM_DATA = {"phi_M_star": 1.0, "n_total_blocks": 60, "d_x": 6}
+
+
+@pytest.mark.parametrize("command,given,resolved,outputs", [
+    ("simulate", {"kind": "mixture", "n2": 8},
+     {"kind": "mixture", "lambda_star": 0.9, "n1": 30, "n2": 8},
+     ["mixture.csv"]),
+    ("simulate", {"kind": "ssm", "n_blocks": 4},
+     {"kind": "ssm", "phi_M_star": 1.0, "n_blocks": 4, "d_x": 6},
+     ["ssm.csv"]),
+    ("simulate", {"kind": "conjugate"},
+     {"kind": "conjugate", "mu_star": 0.0, "n": 10}, ["conjugate.csv"]),
+    ("calibrate", {"n_total_blocks": 15, "n_train_blocks": 5,
+                   "grid_points": 9},
+     {**_SSM_DATA, "kind": "ssm", "n_total_blocks": 15, "n_train_blocks": 5,
+      "grid_points": 9, "loss": "product", "eta_upper": 1.0},
+     ["posterior.csv", "estimators.json"]),
+    ("calibrate", {"kind": "mixture", "J": 200},
+     {"kind": "mixture", "loss": "product", "lambda_star": 0.9, "n1": 30,
+      "n2": 60, "J": 200, "family": "gamma", "eta_upper": 1.0,
+      "grid_points": 41},
+     ["posterior.csv", "estimators.json"]),
+    ("study", {"n_total_blocks": 20, "n_train_blocks": 5, "n_replicates": 2,
+               "n_test_sets": 2, "test_blocks": 20, "grid_points": 9},
+     {**_SSM_DATA, "n_total_blocks": 20, "n_train_blocks": 5,
+      "n_replicates": 2, "n_test_sets": 2, "test_blocks": 20,
+      "eta_upper": 1.0, "grid_points": 9, "loss": "product",
+      "risk_method": "simulate"},
+     ["study.jsonl", "study_summary.csv"]),
+    ("risk-ratio", {"n_total_blocks": 10, "test_blocks": 20,
+                    "n_test_sets": 3},
+     {**_SSM_DATA, "n_total_blocks": 10, "test_blocks": 20, "n_test_sets": 3,
+      "eta1": 0.5, "eta2": 1.0},
+     ["risk_ratio.json"]),
+])
+def test_resolved_config_records_defaults_and_replays(tmp_path, command, given,
+                                                       resolved, outputs):
+    """The resolved config holds every key the command and kind read, the
+    defaults included, so it replays the run without them."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(given, seed=3)))
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main([command, "--config", str(path), "--out", str(first)]) == EXIT_OK
+    name = command.replace("-", "_")
+    written = first / f"{name}_config.json"
+    assert json.loads(written.read_text()) == dict(resolved, seed=3,
+                                                   command=name)
+    assert main([command, "--config", str(written), "--out",
+                 str(replay)]) == EXIT_OK
+    assert (replay / written.name).read_bytes() == written.read_bytes()
+    for out in outputs:
+        assert (replay / out).read_bytes() == (first / out).read_bytes()
+
+
+def test_cli_runs_without_scipy_stats(tmp_path):
+    """Importing the CLI, calibrating (ssm and mixture) and a small fast
+    study never load scipy.stats; only the conjugate oracle imports it.
+    Run in a fresh interpreter: other test modules import scipy.stats."""
+    code = textwrap.dedent(f"""
+        import json, sys
+        from pathlib import Path
+        from gbcal.cli import main
+        assert "scipy.stats" not in sys.modules, "on import"
+        out = Path({str(tmp_path)!r})
+        runs = [("calibrate", {{"kind": "ssm", "n_total_blocks": 15,
+                                "n_train_blocks": 5, "grid_points": 9}}),
+                ("calibrate", {{"kind": "mixture", "J": 100}}),
+                ("study", {{"n_total_blocks": 20, "n_train_blocks": 5,
+                            "n_replicates": 1, "n_test_sets": 2,
+                            "test_blocks": 10, "grid_points": 9}})]
+        for i, (command, cfg) in enumerate(runs):
+            path = out / f"cfg{{i}}.json"
+            path.write_text(json.dumps(cfg))
+            argv = [command, "--config", str(path), "--out", str(out / str(i))]
+            assert main(argv + (["--fast"] if command == "study" else [])) == 0
+            assert "scipy.stats" not in sys.modules, command
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("suite", ["conjugate", "mixture", "laplace-aghq"])

@@ -290,6 +290,28 @@ def test_run_ssm_replicate_outputs():
         assert np.isfinite(rep.value)
 
 
+@pytest.mark.parametrize("risk_kind", ["product", "pooled"])
+def test_replicate_scores_match_set_by_set_scoring(risk_kind):
+    """Each refit scores all test sets' anchor pairs in one call; the
+    per-set log ratios equal scoring every test set on its own."""
+    cfg = fast_config(n_test_sets=4, kind=risk_kind,
+                      truth=SsmTruth(phi_M_star=0.5))
+    est, reports = run_ssm_replicate(cfg, 1)
+    rs = np.random.SeedSequence(cfg.seed).spawn(cfg.n_replicates)[1] \
+        .generate_state(4)
+    full = simulate_ssm(cfg.truth, cfg.n_total_blocks, cfg.d_x, int(rs[0]))
+    tests = [simulate_ssm(cfg.truth, cfg.test_blocks, cfg.d_x,
+                          int(rs[2]) + 1000 * k)
+             for k in range(cfg.n_test_sets)]
+    eta_hat = est.mean.eta
+    refits = build_ssm_phi_lattice(full, cfg.truth, [eta_hat, 1.0, 0.0])
+    for name, i in (("mean_vs_bayes", 1), ("mean_vs_cut", 2)):
+        ref = [float(np.sum(refits.row(0).block_log_predictive(z))
+                     - np.sum(refits.row(i).block_log_predictive(z)))
+               for z in tests]
+        assert np.array_equal(reports[name].per_set_log_ratios, ref)
+
+
 def test_replicate_study_deterministic_and_serializable(tmp_path):
     cfg = fast_config()
     study = ssm_replicate_study(cfg)

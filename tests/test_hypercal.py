@@ -79,6 +79,30 @@ def test_grid_posterior_2d_normalizes():
     assert mode.b == pytest.approx(1.2, abs=5e-3)
 
 
+def test_fine_density_cached_once_and_equal_to_fresh_evaluation():
+    """The fine-grid density is evaluated once per posterior, read-only,
+    and equal to evaluating the spline afresh."""
+    gp1 = gaussian_grid_posterior()
+    grid = SGrid.regular([(0.0, 1.0), (0.5, 2.0)], ["eta", "b"], 21)
+    pts = grid.points()
+    lp = (-0.5 * (pts[:, 0] - 0.5) ** 2 / 0.04
+          - 0.5 * (pts[:, 1] - 1.2) ** 2 / 0.09)
+    gp2 = grid_posterior_from_values("product", grid, lp, np.zeros(len(pts)))
+    for gp in (gp1, gp2):
+        axes, dens = gp._fine_density
+        assert gp._fine_density[1] is dens
+        assert not dens.flags.writeable
+        fresh_axes = gp._fine_axes()
+        if gp.grid.ndim == 1:
+            fresh = np.exp(gp.log_density(fresh_axes[0]))
+        else:
+            fresh = np.exp(gp._spline(*fresh_axes) - gp._log_norm)
+        assert all(np.array_equal(a, b) for a, b in zip(axes, fresh_axes))
+        assert np.array_equal(dens, fresh)
+    # the normalized posterior does not reuse the un-normalized one's values
+    assert gp1.normalization_check() == pytest.approx(1.0, abs=1e-6)
+
+
 def test_missing_lattice_point_warns_and_recovers():
     grid = SGrid.regular([(0.0, 1.0)], ["eta"], 41)
     x = grid.axes[0]
