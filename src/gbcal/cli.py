@@ -221,8 +221,15 @@ def cmd_risk_ratio(args) -> int:
     tests = [datasets.simulate_ssm(truth, cfg["test_blocks"], cfg["d_x"],
                                    seed + 7000 + k)
              for k in range(cfg["n_test_sets"])]
-    rep = evaluation.risk_ratio_product(
-        eta1, eta2, tests, lambda eta, z: posts[eta].block_log_predictive(z))
+    # each eta scores the anchor pairs of all test sets in one call; row k
+    # is test set k
+    r_all = np.concatenate([ssm.anchor_residuals(z) for z in tests])
+    scores = {eta: ssm.anchor_pair_log_predictive(r_all, post.phi2,
+                                                  post.log_weights)
+              .reshape(len(tests), -1)
+              for eta, post in posts.items()}
+    rep = evaluation.risk_ratio_product(eta1, eta2, range(len(tests)),
+                                        lambda eta, k: scores[eta][k])
     with open(out / "risk_ratio.json", "w") as fh:
         json.dump({"s1": rep.s1, "s2": rep.s2, "value": rep.value,
                    "mean_log_ratio": rep.mean_log_ratio,
@@ -333,8 +340,6 @@ def _mixture_marginal_pair(x2: np.ndarray, phi: float,
     x2 | phi, theta ~ N(phi + theta, s2) with theta ~ N(0, st2); the exact
     marginal is multivariate normal with a rank-one covariance bump.
     """
-    from scipy.stats import norm
-
     x2 = np.asarray(x2, dtype=float)
     n2 = len(x2)
     xbar2 = float(np.mean(x2))
@@ -350,8 +355,8 @@ def _mixture_marginal_pair(x2: np.ndarray, phi: float,
                 + np.mean((x2 - phi - th) ** 2) / (2 * s2))
 
     mode = xbar2 - phi  # likelihood maximizer in theta
-    lap = quad_oracle.laplace_marginal(
-        r, mode, 1.0 / s2, n2, float(norm.logpdf(mode, scale=np.sqrt(st2))))
+    log_prior = -0.5 * np.log(2 * np.pi * st2) - mode ** 2 / (2 * st2)
+    lap = quad_oracle.laplace_marginal(r, mode, 1.0 / s2, n2, float(log_prior))
     return float(exact), float(lap)
 
 

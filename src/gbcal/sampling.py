@@ -1,6 +1,7 @@
-"""MCMC machinery: adaptive random-walk Metropolis (one batched chain loop
-and one accept-and-adapt step), an effective-sample-size estimate, and the
-AR(1) bridge that conditions a block's interior latents on its anchors.
+"""MCMC machinery: adaptive random-walk Metropolis (one batched chain loop,
+adaptive then frozen, and one accept-and-adapt step), an effective-sample-
+size estimate, and the AR(1) bridge that conditions a block's interior
+latents on its anchors.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ def metropolis_accept(log_alpha, log_s, t: int, burn_in: int, target: float,
     """Accept where a uniform falls below alpha = min(1, exp(log_alpha)),
     one per entry; during burn-in move the log proposal scale log_s by
     (t+1)^-0.6 (alpha - target), the Robbins-Monro rule of Andrieu & Thoms
-    (2008).  Shared by every Metropolis loop here.  An array log_alpha is
+    (2008).  Shared by nested_mcmc and rwm_batch's adaptive steps;
+    rwm_batch's frozen steps compare pre-drawn log uniforms with log_alpha
+    instead.  An array log_alpha is
     overwritten and an array log_s is updated in place.  Returns
     (accepted, log_s).
     """
@@ -59,15 +62,26 @@ def metropolis_accept(log_alpha, log_s, t: int, burn_in: int, target: float,
     return accepted, log_s
 
 
+# frozen-phase steps whose proposal noise and uniforms are drawn in one call
+# each: enough to amortise the call, few enough that an 81-chain,
+# 41-dimensional lattice's block (0.4 MB) does not raise peak memory
+_CHUNK = 16
+
+
 def rwm_batch(log_target_batch, init: np.ndarray, n_iter: int, burn_in: int,
-              thin: int, seed: int, scale_init: float = 1.0):
+              thin: int, seed: int, scale_init=1.0):
     """Many independent Metropolis chains advanced in lockstep.
 
     log_target_batch maps a (B, d) state matrix to B log densities; each row
-    has its own scale, adapted during burn-in towards acceptance 0.44 in
-    1-d and 0.234 otherwise, then frozen.  Used for per-lattice-point chains
-    and the nested sampler's inner refreshes; a single chain is a batch of
-    one.  Returns (draws (B, n_keep, d), accept_rate (B,)).
+    has its own proposal scale, starting at scale_init (a scalar or one per
+    chain) and adapted during burn-in towards acceptance 0.44 in 1-d and
+    0.234 otherwise, then frozen.  With the scale frozen, the proposal noise
+    and the uniforms are drawn _CHUNK steps at a time.  Used for
+    per-lattice-point chains and the nested sampler's side chains; a single
+    chain is a batch of one.  The state after every thin-th step past
+    burn-in is kept.  Returns (draws (B, n_keep, d), accept_rate (B,),
+    scale (B,)), the last being the frozen scale; with burn_in = 0 it is
+    scale_init.
     """
     init = np.asarray(init, dtype=float)
     B, d = init.shape
@@ -77,27 +91,46 @@ def rwm_batch(log_target_batch, init: np.ndarray, n_iter: int, burn_in: int,
     cur_lp = np.asarray(log_target_batch(cur), dtype=float)
     if not np.all(np.isfinite(cur_lp)):
         raise ParameterError("log_target not finite at some initial state")
-    log_s = np.full(B, np.log(scale_init))
+    scale = np.full(B, scale_init, dtype=float)
+    log_s = np.log(scale)
     n_keep = (n_iter - burn_in) // thin
     draws = np.empty((B, n_keep, d))
     n_acc = np.zeros(B)
-    kept = 0
+    prop = np.empty_like(cur)
     for t in range(n_iter):
-        if t <= burn_in:            # the scale last moves at t = burn_in - 1
-            scale = np.exp(log_s)[:, None]
-        prop = rng.standard_normal((B, d))
-        prop *= scale
-        prop += cur
+        f = t - burn_in
+        if f < 0:                    # adaptive: one draw per step
+            prop = rng.standard_normal((B, d))
+            prop *= np.exp(log_s)[:, None]
+            prop += cur
+        else:                        # frozen: noise and uniforms in blocks
+            j = f % _CHUNK
+            if j == 0:
+                m = min(_CHUNK, n_iter - t)
+                noise = rng.standard_normal((m, B, d))
+                noise *= scale[:, None]
+                log_u = np.log(rng.random((m, B)))
+            np.add(cur, noise[j], out=prop)
         prop_lp = np.asarray(log_target_batch(prop), dtype=float)
-        acc, log_s = metropolis_accept(prop_lp - cur_lp, log_s, t, burn_in,
-                                       target, rng)
+        log_alpha = prop_lp - cur_lp
+        if f < 0:
+            acc, log_s = metropolis_accept(log_alpha, log_s, t, burn_in,
+                                           target, rng)
+            if f == -1:              # the scale's last move: freeze it
+                scale = np.exp(log_s)
+        else:
+            # log alpha is NaN-free exactly when its sum is, once capped at 0
+            np.minimum(log_alpha, 0.0, out=log_alpha)
+            if math.isnan(log_alpha.sum()):
+                raise ParameterError("log target or calibration score "
+                                     "returned NaN")
+            acc = log_u[j] < log_alpha
         np.copyto(cur, prop, where=acc[:, None])
         np.copyto(cur_lp, prop_lp, where=acc)
         n_acc += acc
-        if t >= burn_in and (t - burn_in) % thin == 0 and kept < n_keep:
-            draws[:, kept] = cur
-            kept += 1
-    return draws, n_acc / n_iter
+        if f >= 0 and (f + 1) % thin == 0:
+            draws[:, f // thin] = cur
+    return draws, n_acc / n_iter, scale
 
 
 def ar1_bridge(truth: SsmTruth, d_x: int):

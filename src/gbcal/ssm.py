@@ -32,7 +32,8 @@ _COARSE = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 500))
 # ends sit 45 nats under the peak: at eta in [0, 2] it reaches round-off
 # by 81 nodes.
 _FINE = 101
-# initial Metropolis proposal scale of the (eta, b) lattice and side chains
+# initial Metropolis proposal scale of the (eta, b) lattice chains and of the
+# nested sampler's side-chain tuning run, which then freezes one per chain
 _SCALE_INIT = 0.3
 
 
@@ -232,9 +233,9 @@ def ssm_eta_b_grid_posterior(train: SsmDataset, calib: SsmDataset,
     etas = pts[:, 0]
     betas = 1.0 / pts[:, 1]
     init = np.tile(target.init_state(), (len(pts), 1))
-    draws, _ = rwm_batch(lambda st: target(st, etas, beta=betas), init,
-                         n_iter=n_iter, burn_in=burn_in, thin=thin,
-                         seed=seed, scale_init=_SCALE_INIT)
+    draws, _, _ = rwm_batch(lambda st: target(st, etas, beta=betas), init,
+                            n_iter=n_iter, burn_in=burn_in, thin=thin,
+                            seed=seed, scale_init=_SCALE_INIT)
     phi2 = np.exp(draws[:, :, 0])                                # (P, T)
     r = anchor_residuals(calib)
     log_w = -np.log(phi2.shape[1])
@@ -252,7 +253,11 @@ def ssm_eta_b_nested_draws(train: SsmDataset, calib: SsmDataset,
 
     The side chains (one per calibration block) live on the training
     posterior at the proposed hyperparameters and are refreshed by inner_len
-    batched Metropolis steps per outer proposal.  Returns
+    batched Metropolis steps per outer proposal.  Their kernel is fixed:
+    before the outer loop one adaptive run of 10 inner_len steps at the
+    centre of the bounds, where the outer chain starts, tunes a proposal
+    scale per side chain and supplies their starting states (Andrieu &
+    Thoms 2008); every refresh then uses those scales unchanged.  Returns
     (draws (n_kept, 2), accept_rate).
     """
     from .hypercal import nested_mcmc
@@ -261,19 +266,30 @@ def ssm_eta_b_nested_draws(train: SsmDataset, calib: SsmDataset,
     target = SsmJointTarget(train, truth)
     r = anchor_residuals(calib)
 
+    def side_chains(s, phis, n_iter, burn_in, seed, scale):
+        # keep only the final state: one draw, thinned by the frozen steps
+        eta, beta = float(s[0]), 1.0 / float(s[1])
+        draws, _, scale = rwm_batch(lambda st: target(st, eta, beta=beta),
+                                    phis, n_iter=n_iter, burn_in=burn_in,
+                                    thin=n_iter - burn_in, seed=seed,
+                                    scale_init=scale)
+        return draws[:, 0, :], scale
+
+    # tuning run on its own stream: burn_in adaptive steps, then one step
+    # under the frozen scale whose state starts the side chains
+    n_tune = 10 * inner_len
+    phi0, scale = side_chains(np.mean(np.asarray(bounds, dtype=float), axis=1),
+                              np.tile(target.init_state(), (calib.n_blocks, 1)),
+                              n_tune + 1, n_tune, [seed, 1], _SCALE_INIT)
+
     def inner_refresh(s, phis, sd):
-        eta, b = float(s[0]), float(s[1])
-        draws, _ = rwm_batch(lambda st: target(st, eta, beta=1.0 / b),
-                             phis, n_iter=inner_len, burn_in=inner_len - 1,
-                             thin=1, seed=sd, scale_init=_SCALE_INIT)
-        return draws[:, 0, :]
+        return side_chains(s, phis, inner_len, 0, sd, scale)[0]
 
     def log_calib(phis):
         # each block under its own side-chain draw: a mixture of one
         return float(np.sum(anchor_pair_log_predictive(r, np.exp(phis[:, :1]),
                                                        0.0)))
 
-    phi0 = np.tile(target.init_state(), (calib.n_blocks, 1))
     return nested_mcmc(lambda s: 0.0, bounds, phi0, inner_refresh, log_calib,
                        n_outer=n_outer, seed=seed)
 
@@ -318,37 +334,46 @@ class SsmJointTarget:
         return np.concatenate([[0.0], self.prior_mean])
 
     def __call__(self, states: np.ndarray, eta, beta=None) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
+        if not (isinstance(states, np.ndarray) and states.ndim == 2):
+            states = np.atleast_2d(np.asarray(states, dtype=float))
         B = states.shape[0]
-        if np.ndim(eta):
+        if not isinstance(eta, (float, np.ndarray)):
             eta = np.asarray(eta, dtype=float)
         logt = states[:, 0]
         inv2t = np.exp(-logt)
         inv2t *= 0.5
         th = states[:, 1:]
-        lp = self._const - self._c_logt * logt - self._c_inv2t * inv2t
+        lp = logt * -self._c_logt
+        lp += self._const
+        lp -= self._c_inv2t * inv2t
         # AR(1) bridge prior on the latents
         res = th - self.prior_mean
         rq = res.reshape(B, -1, self.k) @ self.Q
-        lp -= 0.5 * np.einsum("bi,bi->b", rq.reshape(B, -1), res)
+        quad = np.vecdot(rq.reshape(B, -1), res)
+        quad *= 0.5
+        lp -= quad
         # tempered interior-emission term
         d2 = np.subtract(self.x_M, th, out=res)
         d2 *= d2
         l2pt = logt + _LOG_2PI
         # log p_i = -l2pt/2 - d2_i/(2t); the log score is -sum_i log p_i
         if beta is None:
-            lp -= eta * (0.5 * self.nM * l2pt + d2.sum(axis=1) * inv2t)
+            data_term = d2.sum(axis=1)
+            data_term *= inv2t
+            data_term += 0.5 * self.nM * l2pt
+            data_term *= eta
+            lp -= data_term
             return lp
         # beta loss: -sum_i expm1((beta-1) log p_i)/(beta-1) plus the power
         # integral nM beta^-1.5 (2 pi t)^((1-beta)/2); at beta = 1 the data
         # term is the log score.  d2 becomes (beta-1) log p_i in place.
-        if np.ndim(beta):
+        if isinstance(beta, (int, float)):
+            bm1 = float(beta) - 1.0
+            near_one = any_near = abs(bm1) < 1e-10
+        else:
             bm1 = np.asarray(beta, dtype=float) - 1.0
             near_one = np.abs(bm1) < 1e-10
             any_near = near_one.any()
-        else:
-            bm1 = float(beta) - 1.0
-            near_one = any_near = abs(bm1) < 1e-10
         if any_near:
             log_score = 0.5 * self.nM * l2pt + d2.sum(axis=1) * inv2t
         bm1_c = (-0.5 * bm1) * l2pt          # (beta-1) times log p's constant
@@ -363,5 +388,7 @@ class SsmJointTarget:
             data_term = np.where(near_one, log_score, data_term)
         else:
             data_term /= -bm1
-        lp -= eta * (data_term + integral)
+        data_term += integral
+        data_term *= eta
+        lp -= data_term
         return lp

@@ -379,8 +379,8 @@ def test_acceptance_computations_replay_bit_identically():
     data = simulate_ssm(SsmTruth(), 3, 6, seed=6)
     target = SsmJointTarget(data, SsmTruth())
     init = np.tile(target.init_state(), (4, 1))
-    d1, _ = rwm_batch(lambda st: target(st, 0.8), init, n_iter=500,
-                      burn_in=100, thin=5, seed=7)
-    d2, _ = rwm_batch(lambda st: target(st, 0.8), init, n_iter=500,
-                      burn_in=100, thin=5, seed=7)
+    d1, _, _ = rwm_batch(lambda st: target(st, 0.8), init, n_iter=500,
+                         burn_in=100, thin=5, seed=7)
+    d2, _, _ = rwm_batch(lambda st: target(st, 0.8), init, n_iter=500,
+                         burn_in=100, thin=5, seed=7)
     assert np.array_equal(d1, d2)

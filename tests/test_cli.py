@@ -342,8 +342,9 @@ def test_resolved_config_records_defaults_and_replays(tmp_path, command, given,
 
 
 def test_cli_runs_without_scipy_stats(tmp_path):
-    """Importing the CLI, calibrating (ssm and mixture) and a small fast
-    study never load scipy.stats; only the conjugate oracle imports it.
+    """Importing the CLI, calibrating (ssm and mixture), a small fast study
+    and the laplace-aghq oracle suite never load scipy.stats; only the
+    conjugate oracle imports it.
     Run in a fresh interpreter: other test modules import scipy.stats."""
     code = textwrap.dedent(f"""
         import json, sys
@@ -363,6 +364,8 @@ def test_cli_runs_without_scipy_stats(tmp_path):
             argv = [command, "--config", str(path), "--out", str(out / str(i))]
             assert main(argv + (["--fast"] if command == "study" else [])) == 0
             assert "scipy.stats" not in sys.modules, command
+        assert main(["oracle-check", "laplace-aghq"]) == 0
+        assert "scipy.stats" not in sys.modules, "oracle-check laplace-aghq"
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

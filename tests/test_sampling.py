@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from gbcal.datasets import ParameterError, SsmTruth
-from gbcal.sampling import ar1_bridge, ess_initial_positive, rwm_batch
+from gbcal.sampling import _CHUNK, ar1_bridge, ess_initial_positive, rwm_batch
 
 
 def test_ess_iid_close_to_n():
@@ -34,8 +34,8 @@ def _one_chain(log_target, init, n_iter, burn_in, thin, seed):
     one, with log_target taking the state vector (a scalar in 1-d)."""
     init = np.atleast_1d(np.asarray(init, dtype=float))
     one = log_target if len(init) > 1 else (lambda x: log_target(x[0]))
-    draws, acc = rwm_batch(lambda st: [one(st[0])], init[None, :], n_iter,
-                           burn_in, thin, seed)
+    draws, acc, _ = rwm_batch(lambda st: [one(st[0])], init[None, :], n_iter,
+                              burn_in, thin, seed)
     return draws[0], acc[0]
 
 
@@ -86,8 +86,8 @@ def test_rwm_batch_matches_per_chain_targets():
     def target(states):
         return -0.5 * (states[:, 0] - mus) ** 2
 
-    draws, acc = rwm_batch(target, np.zeros((3, 1)), n_iter=20000,
-                           burn_in=4000, thin=4, seed=5)
+    draws, acc, _ = rwm_batch(target, np.zeros((3, 1)), n_iter=20000,
+                              burn_in=4000, thin=4, seed=5)
     for i, mu in enumerate(mus):
         assert abs(np.mean(draws[i, :, 0]) - mu) < 0.1
         assert abs(np.var(draws[i, :, 0]) - 1.0) < 0.15
@@ -96,52 +96,96 @@ def test_rwm_batch_matches_per_chain_targets():
 
 def _rwm_batch_reference(log_target_batch, init, n_iter, burn_in, thin, seed,
                          scale_init=1.0):
-    """rwm_batch written plainly: a fresh proposal scale every step,
-    out-of-place accept and adapt arithmetic and fancy-index updates."""
+    """rwm_batch written plainly: during burn-in a fresh proposal scale every
+    step and out-of-place accept and adapt arithmetic; after it the frozen
+    scale, with the noise and the uniforms of each block of _CHUNK steps
+    drawn up front; fancy-index updates throughout."""
     B, d = init.shape
     target = 0.44 if d == 1 else 0.234
     rng = np.random.default_rng(seed)
     cur = init.copy()
     cur_lp = np.asarray(log_target_batch(cur), dtype=float)
-    log_s = np.full(B, np.log(scale_init))
+    scale = np.broadcast_to(np.asarray(scale_init, dtype=float), B)
+    log_s = np.log(scale)
     n_keep = (n_iter - burn_in) // thin
     draws = np.empty((B, n_keep, d))
     n_acc = np.zeros(B)
-    kept = 0
     for t in range(n_iter):
-        prop = cur + np.exp(log_s)[:, None] * rng.standard_normal((B, d))
-        prop_lp = np.asarray(log_target_batch(prop), dtype=float)
-        alpha = np.exp(np.minimum(0.0, prop_lp - cur_lp))
-        acc = rng.random(B) < alpha
         if t < burn_in:
+            prop = cur + np.exp(log_s)[:, None] * rng.standard_normal((B, d))
+            prop_lp = np.asarray(log_target_batch(prop), dtype=float)
+            alpha = np.exp(np.minimum(0.0, prop_lp - cur_lp))
+            acc = rng.random(B) < alpha
             log_s = log_s + (t + 1.0) ** -0.6 * (alpha - target)
+            scale = np.exp(log_s)
+        else:
+            j = (t - burn_in) % _CHUNK
+            if j == 0:
+                m = min(_CHUNK, n_iter - t)
+                noise = rng.standard_normal((m, B, d)) * scale[:, None]
+                u = rng.random((m, B))
+            prop = cur + noise[j]
+            prop_lp = np.asarray(log_target_batch(prop), dtype=float)
+            acc = np.log(u[j]) < prop_lp - cur_lp
         cur[acc] = prop[acc]
         cur_lp[acc] = prop_lp[acc]
         n_acc += acc
-        if t >= burn_in and (t - burn_in) % thin == 0 and kept < n_keep:
-            draws[:, kept] = cur
-            kept += 1
-    return draws, n_acc / n_iter
+        # the state after every thin-th frozen step is kept
+        if t >= burn_in and (t - burn_in + 1) % thin == 0:
+            draws[:, (t - burn_in) // thin] = cur
+    return draws, n_acc / n_iter, scale
+
+
+def _stream_target(st):
+    mus = np.linspace(-1.0, 2.0, 5)
+    return (-0.5 * np.sum((st - mus[:, None]) ** 2, axis=1)
+            - 0.1 * st[:, 0] ** 4)
 
 
 @pytest.mark.parametrize("n_iter,burn_in,thin", [(400, 150, 3), (60, 59, 1),
                                                  (30, 0, 2)])
 def test_rwm_batch_random_stream_matches_reference(n_iter, burn_in, thin):
-    """Draws and acceptance are bitwise those of the plain loop, both with a
-    frozen tail and in the inner-refresh shape burn_in = n_iter - 1."""
-    mus = np.linspace(-1.0, 2.0, 5)
+    """Draws, acceptance and the frozen scale are bitwise those of the plain
+    loop, with a frozen tail of several noise blocks, in the tuning shape
+    burn_in = n_iter - 1, and with no burn-in at all."""
+    init = np.zeros((5, 3))
+    got = rwm_batch(_stream_target, init, n_iter, burn_in, thin, seed=19,
+                    scale_init=0.3)
+    ref = _rwm_batch_reference(_stream_target, init, n_iter, burn_in, thin,
+                               seed=19, scale_init=0.3)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("n_iter", [_CHUNK // 2, 2 * _CHUNK, 2 * _CHUNK + 5])
+def test_rwm_batch_frozen_per_chain_scale_matches_reference(n_iter):
+    """The side-chain shape: a per-chain scale, no burn-in, only the final
+    state kept, within one noise block, over exactly two, and into a third.
+    The scale comes back unchanged."""
+    init = np.zeros((5, 3))
+    scale = np.array([0.05, 0.2, 0.3, 0.7, 1.5])
+    got = rwm_batch(_stream_target, init, n_iter, 0, n_iter, seed=23,
+                    scale_init=scale)
+    ref = _rwm_batch_reference(_stream_target, init, n_iter, 0, n_iter,
+                               seed=23, scale_init=scale)
+    assert got[0].shape == (5, 1, 3)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+    assert np.array_equal(got[2], scale)
+
+
+def test_rwm_batch_returns_adapted_scale():
+    """After burn-in the returned per-chain scale is the adapted one: wider
+    for a wider target."""
+    sd = np.array([0.1, 1.0, 10.0])
 
     def target(st):
-        return (-0.5 * np.sum((st - mus[:, None]) ** 2, axis=1)
-                - 0.1 * st[:, 0] ** 4)
+        return -0.5 * np.sum((st / sd[:, None]) ** 2, axis=1)
 
-    init = np.zeros((5, 3))
-    got = rwm_batch(target, init, n_iter, burn_in, thin, seed=19,
-                    scale_init=0.3)
-    ref = _rwm_batch_reference(target, init, n_iter, burn_in, thin, seed=19,
-                               scale_init=0.3)
-    assert np.array_equal(got[0], ref[0])
-    assert np.array_equal(got[1], ref[1])
+    _, acc, scale = rwm_batch(target, np.zeros((3, 2)), n_iter=4000,
+                              burn_in=3000, thin=10, seed=2)
+    assert np.all(np.diff(scale) > 0)
+    assert np.all(acc > 0.1) and np.all(acc < 0.5)
 
 
 def test_rwm_batch_rejects_nan_log_ratio():
@@ -152,6 +196,24 @@ def test_rwm_batch_rejects_nan_log_ratio():
     with pytest.raises(ParameterError, match="NaN"):
         rwm_batch(target, np.zeros((4, 1)), n_iter=500, burn_in=100, thin=1,
                   seed=3)
+
+
+def test_rwm_batch_rejects_nan_log_ratio_in_frozen_phase():
+    """The frozen phase checks for NaN too: one chain's log density turns NaN
+    at a step in the second noise block, and that step raises."""
+    calls = []
+
+    def target(st):
+        calls.append(1)
+        lp = -0.5 * st[:, 0] ** 2
+        if len(calls) == _CHUNK + 10:
+            lp[1] = np.nan
+        return lp
+
+    with pytest.raises(ParameterError, match="NaN"):
+        rwm_batch(target, np.zeros((4, 1)), n_iter=3 * _CHUNK, burn_in=0,
+                  thin=1, seed=3, scale_init=np.full(4, 0.5))
+    assert len(calls) == _CHUNK + 10
 
 
 def test_ar1_bridge_against_dense_conditional():

@@ -199,8 +199,9 @@ def test_joint_target_matches_marginal_posterior():
     eta = 0.7
     B = 16
     init = np.tile(target.init_state(), (B, 1))
-    draws, acc = rwm_batch(lambda st: target(st, eta), init,
-                           n_iter=60000, burn_in=10000, thin=10, seed=13)
+    draws, acc, _ = rwm_batch(lambda st: target(st, eta), init,
+                              n_iter=60000, burn_in=10000, thin=10,
+                              seed=13)
     phi2_draws = np.exp(draws[..., 0].ravel())
     post = build_ssm_phi_posterior(data, truth, eta)
     # compare CDFs on a grid through the bulk
