@@ -217,19 +217,11 @@ def cmd_risk_ratio(args) -> int:
     truth = SsmTruth(phi_M_star=cfg["phi_M_star"])
     full = datasets.simulate_ssm(truth, cfg["n_total_blocks"], cfg["d_x"], seed)
     lattice = ssm.build_ssm_phi_lattice(full, truth, [eta1, eta2])
-    posts = {eta1: lattice.row(0), eta2: lattice.row(1)}
     tests = [datasets.simulate_ssm(truth, cfg["test_blocks"], cfg["d_x"],
                                    seed + 7000 + k)
              for k in range(cfg["n_test_sets"])]
-    # each eta scores the anchor pairs of all test sets in one call; row k
-    # is test set k
-    r_all = np.concatenate([ssm.anchor_residuals(z) for z in tests])
-    scores = {eta: ssm.anchor_pair_log_predictive(r_all, post.phi2,
-                                                  post.log_weights)
-              .reshape(len(tests), -1)
-              for eta, post in posts.items()}
-    rep = evaluation.risk_ratio_product(eta1, eta2, range(len(tests)),
-                                        lambda eta, k: scores[eta][k])
+    rep = evaluation.risk_ratio_product(
+        eta1, eta2, *lattice.test_set_log_predictive(tests))
     with open(out / "risk_ratio.json", "w") as fh:
         json.dump({"s1": rep.s1, "s2": rep.s2, "value": rep.value,
                    "mean_log_ratio": rep.mean_log_ratio,

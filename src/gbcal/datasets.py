@@ -21,26 +21,19 @@ class ParameterError(ValueError):
 class HyperPoint:
     """A point s in hyperparameter space.
 
-    eta is the learning rate.  The loss exponent can be given either as beta
-    or as its reciprocal b; gamma is the influence weight for gamma-SMI.
+    eta is the learning rate, b = 1/beta the robust-loss shape, and gamma
+    the influence weight for gamma-SMI.
     """
 
     eta: float | None = None
-    beta: float | None = None
     b: float | None = None
     gamma: float | None = None
 
     def __post_init__(self):
         if self.eta is not None and self.eta < 0:
             raise ParameterError(f"eta must be nonnegative, got {self.eta}")
-        if self.beta is not None and self.b is not None:
-            if abs(self.beta * self.b - 1.0) > 1e-12:
-                raise ParameterError(
-                    f"beta={self.beta} and b={self.b} disagree (beta*b != 1)")
-        for name in ("beta", "b"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ParameterError(f"{name} must be positive, got {v}")
+        if self.b is not None and self.b <= 0:
+            raise ParameterError(f"b must be positive, got {self.b}")
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
             raise ParameterError(f"gamma must be in [0,1], got {self.gamma}")
 

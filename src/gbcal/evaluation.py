@@ -16,8 +16,7 @@ from scipy.special import logsumexp
 from .datasets import ParameterError, SsmTruth, simulate_ssm, split_ssm_blocks
 from .hypercal import (GridPosterior, SGrid, compute_estimator_set,
                        grid_posterior_from_values, prior_uniform)
-from .ssm import (anchor_pair_log_predictive, anchor_residuals,
-                  build_ssm_phi_lattice)
+from .ssm import anchor_pair_log_predictive, build_ssm_phi_lattice
 # kept importable here: perfbench/spans.py wraps it at this module by name
 from .ssm import build_ssm_phi_posterior  # noqa: F401
 
@@ -26,7 +25,6 @@ from .ssm import build_ssm_phi_posterior  # noqa: F401
 class RiskRatioReport:
     s1: float | tuple
     s2: float | tuple
-    kind: str                    # "product" | "pooled"
     value: float                 # expected predictive ratio per test set
     mean_log_ratio: float        # expected log ratio (ELPPD difference)
     n_test_sets: int
@@ -34,34 +32,27 @@ class RiskRatioReport:
     mc_se: float
 
 
-def _report(s1, s2, kind, log_ratios) -> RiskRatioReport:
-    log_ratios = np.asarray(log_ratios, dtype=float)
+def risk_ratio_product(s1, s2, scores1, scores2) -> RiskRatioReport:
+    """Mean over test sets of the product of pointwise predictive ratios.
+
+    scores1 and scores2, shape (n_test_sets, blocks), are the per-block log
+    predictive densities of each test set under the posteriors refit at s1
+    and s2 on the pooled training and calibration data.  All arithmetic
+    stays in log space until the final per-set exponentiation; a test set
+    whose log ratio is not finite is dropped with a warning.
+    """
+    with np.errstate(invalid="ignore"):
+        log_ratios = np.sum(scores1, axis=1) - np.sum(scores2, axis=1)
     ok = np.isfinite(log_ratios)
     if not np.all(ok):
         warnings.warn(f"{int((~ok).sum())} test sets dropped (non-finite ratio)")
         log_ratios = log_ratios[ok]
     ratios = np.exp(log_ratios)
     se = float(np.std(ratios, ddof=1) / np.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
-    return RiskRatioReport(s1=s1, s2=s2, kind=kind,
-                           value=float(np.mean(ratios)),
+    return RiskRatioReport(s1=s1, s2=s2, value=float(np.mean(ratios)),
                            mean_log_ratio=float(np.mean(log_ratios)),
                            n_test_sets=len(ratios),
                            per_set_log_ratios=log_ratios, mc_se=se)
-
-
-def risk_ratio_product(s1, s2, test_sets, block_log_pred_at) -> RiskRatioReport:
-    """Mean over test sets of the product of pointwise predictive ratios.
-
-    block_log_pred_at(s, test_set) must return per-block log predictive
-    densities under the posterior refit at s on the pooled training and
-    calibration data.  All arithmetic stays in log space until the final
-    per-set exponentiation.
-    """
-    with np.errstate(invalid="ignore"):
-        logs = [float(np.sum(block_log_pred_at(s1, z))
-                      - np.sum(block_log_pred_at(s2, z)))
-                for z in test_sets]
-    return _report(s1, s2, "product", logs)
 
 
 @functools.cache
@@ -188,19 +179,19 @@ def run_ssm_replicate(config: SsmStudyConfig, r: int):
     est = compute_estimator_set(gp)
     eta_hat = est.mean.eta
     # refit at eta-hat and at each reference eta on the pooled data (all
-    # blocks), as the rows of one lattice
+    # blocks), as the rows of one lattice; row i + 1 is refs[i]
     refs = (("mean_vs_bayes", 1.0), ("mean_vs_cut", 0.0))
-    refits = build_ssm_phi_lattice(full, config.truth, [eta_hat, 1.0, 0.0])
-    refit = {float(e): refits.row(i) for i, e in enumerate(refits.etas)}
+    refits = build_ssm_phi_lattice(full, config.truth,
+                                   [eta_hat] + [e for _, e in refs])
 
     if config.risk_method == "exact":
         anchor_var = config.truth.phi_A_star ** 2
         reports = {}
-        for name, eta_ref in refs:
+        for i, (name, eta_ref) in enumerate(refs, 1):
             log_r, mean_log_r = _ssm_exact_block_integrals(
-                refit[eta_hat], refit[eta_ref], anchor_var)
+                refits.row(0), refits.row(i), anchor_var)
             reports[name] = RiskRatioReport(
-                s1=eta_hat, s2=eta_ref, kind="product",
+                s1=eta_hat, s2=eta_ref,
                 value=float(np.exp(config.test_blocks * log_r)),
                 mean_log_ratio=config.test_blocks * mean_log_r,
                 n_test_sets=0, per_set_log_ratios=np.empty(0), mc_se=0.0)
@@ -209,18 +200,10 @@ def run_ssm_replicate(config: SsmStudyConfig, r: int):
     tests = [simulate_ssm(config.truth, config.test_blocks, config.d_x,
                           int(rs[2]) + 1000 * k)
              for k in range(config.n_test_sets)]
-
-    # each refit scores the anchor pairs of all test sets in one call, and
-    # both comparisons share eta-hat's scores; row k is test set k
-    r_all = np.concatenate([anchor_residuals(z) for z in tests])
-    scores = {eta: anchor_pair_log_predictive(r_all, post.phi2,
-                                              post.log_weights)
-              .reshape(config.n_test_sets, config.test_blocks)
-              for eta, post in refit.items()}
-    sets = range(config.n_test_sets)
-    reports = {name: risk_ratio_product(eta_hat, eta_ref, sets,
-                                        lambda eta, k: scores[eta][k])
-               for name, eta_ref in refs}
+    scores = refits.test_set_log_predictive(tests)
+    reports = {name: risk_ratio_product(eta_hat, eta_ref, scores[0],
+                                        scores[i])
+               for i, (name, eta_ref) in enumerate(refs, 1)}
     return est, reports
 
 

@@ -93,9 +93,6 @@ class GridPosterior:
         x, y = (np.asarray(c, dtype=float) for c in coords)
         return self._spline(x, y, grid=False) - self._log_norm
 
-    def density(self, *coords):
-        return np.exp(self.log_density(*coords))
-
     def _fine_axes(self):
         n = _FINE_1D if self.grid.ndim == 1 else _FINE_2D
         return tuple(np.linspace(a[0], a[-1], n) for a in self.grid.axes)
@@ -297,7 +294,7 @@ def compute_estimator_set(gp: GridPosterior) -> EstimatorSet:
     The minimum-KL summary needs a predictive simulator and is computed by
     kl_estimator.
     """
-    mean = estimate_posterior_mean(gp)
+    mean = gp.to_hyperpoint(gp.mean())
     mode = estimate_posterior_mode(gp)
     hm = None
     if gp.grid.ndim == 1:
@@ -306,10 +303,6 @@ def compute_estimator_set(gp: GridPosterior) -> EstimatorSet:
         except ParameterError:
             hm = None
     return EstimatorSet(mean=mean, mode=mode, harmonic_mean=hm)
-
-
-def estimate_posterior_mean(gp: GridPosterior) -> HyperPoint:
-    return gp.to_hyperpoint(gp.mean())
 
 
 def estimate_posterior_mode(gp: GridPosterior) -> HyperPoint:

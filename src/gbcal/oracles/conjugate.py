@@ -160,6 +160,26 @@ def _log_normal_ref(y: np.ndarray, stats_: ConjStats) -> float:
     return float(np.sum(stats.norm.logpdf(y, loc=stats_.xbar, scale=np.sqrt(stats_.u))))
 
 
+def _tail_terms(D, Delta2, u, a: float, b: float):
+    """(A_J1, Abar_inf) of conj_tail_coefficients, vectorized over leading
+    axes: D (..., J) are the squared calibration residuals over u, the
+    training variance (...), and Delta2 (...) is the squared offset of the
+    training mean from the truth."""
+    lin = np.asarray(2.0 - 4.0 * a + 4.0 * b / u)[..., None]
+    A_J1 = 0.25 * (np.sum(D * D + lin * D, axis=-1)
+                   + D.shape[-1] * (4.0 * a - 5.0 - 4.0 * b / u))
+    Abar = ((3.0 + 6.0 * Delta2 + Delta2 * Delta2) / (4.0 * u * u)
+            + (0.5 - a + b / u) * (1.0 + Delta2) / u + a - 1.25 - b / u)
+    return A_J1, Abar
+
+
+def _invgamma_from_moments(mu: float, var: float) -> tuple[float, float]:
+    """InvGamma(a, b) with mean mu and variance var: a = 2 + mu^2/var and
+    b = mu(a-1)."""
+    a = 2.0 + mu ** 2 / var
+    return a, mu * (a - 1.0)
+
+
 def conj_tail_coefficients(stats_: ConjStats, y) -> tuple[float, float, float]:
     """Leading 1/r coefficients of the two calibration objectives.
 
@@ -172,14 +192,8 @@ def conj_tail_coefficients(stats_: ConjStats, y) -> tuple[float, float, float]:
     """
     pts = y.points if isinstance(y, SimpleDataset) else np.asarray(y, dtype=float)
     pts = np.atleast_1d(pts)
-    u, a, b = stats_.u, stats_.a, stats_.b
-    D = (pts - stats_.xbar) ** 2 / u
-    J = len(pts)
-    A_J1 = 0.25 * float(np.sum(D * D + (2.0 - 4.0 * a + 4.0 * b / u) * D)
-                        + J * (4.0 * a - 5.0 - 4.0 * b / u))
-    Dl = stats_.Delta ** 2
-    Abar = ((3.0 + 6.0 * Dl + Dl * Dl) / (4.0 * u * u)
-            + (0.5 - a + b / u) * (1.0 + Dl) / u + a - 1.25 - b / u)
+    A_J1, Abar = _tail_terms((pts - stats_.xbar) ** 2 / stats_.u,
+                             stats_.Delta ** 2, stats_.u, stats_.a, stats_.b)
     # pooled coefficient: no closed form at finite J, fit the 1/r decay
     ref = _log_normal_ref(pts, stats_)
     rs = np.array([2e3, 4e3, 8e3, 1.6e4, 3.2e4])
@@ -187,7 +201,7 @@ def conj_tail_coefficients(stats_: ConjStats, y) -> tuple[float, float, float]:
     X = np.column_stack([1.0 / rs, 1.0 / rs ** 2])
     coef, *_ = np.linalg.lstsq(X, gaps, rcond=None)
     A_1J = float(coef[0])
-    return A_1J, A_J1, Abar
+    return A_1J, float(A_J1), Abar
 
 
 @dataclass(frozen=True)
@@ -283,19 +297,14 @@ def conj_interior_probability(mu_prior: float, var_prior: float, n: int, J: int,
     the standard normal truth the finite-optimum events are {A_J1 > 0}
     (empirical product objective) and {Abar_inf > 0} (its population limit).
     """
-    a = 2.0 + mu_prior ** 2 / var_prior
-    b = mu_prior * (a - 1.0)
+    a, b = _invgamma_from_moments(mu_prior, var_prior)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_rep, n))
     y = rng.standard_normal((n_rep, J))
     xbar = x.mean(axis=1)
     u = x.var(axis=1)
-    D = (y - xbar[:, None]) ** 2 / u[:, None]
-    lin = (2.0 - 4.0 * a + 4.0 * b / u)[:, None]
-    A_J1 = 0.25 * (np.sum(D * D + lin * D, axis=1) + J * (4.0 * a - 5.0 - 4.0 * b / u))
-    D2 = xbar ** 2
-    Abar = ((3.0 + 6.0 * D2 + D2 * D2) / (4.0 * u * u)
-            + (0.5 - a + b / u) * (1.0 + D2) / u + a - 1.25 - b / u)
+    A_J1, Abar = _tail_terms((y - xbar[:, None]) ** 2 / u[:, None], xbar ** 2,
+                             u, a, b)
     return float(np.mean(A_J1 > 0)), float(np.mean(Abar > 0))
 
 
@@ -303,8 +312,7 @@ def interior_probability_table(columns, n: int, J: int, n_rep: int, seed: int):
     """Rows (mu, v, a, b, p_product_finite, p_elppd_finite, se) per prior column."""
     rows = []
     for i, (mu, v) in enumerate(columns):
-        a = 2.0 + mu ** 2 / v
-        b = mu * (a - 1.0)
+        a, b = _invgamma_from_moments(mu, v)
         p_prod, p_elppd = conj_interior_probability(mu, v, n, J, n_rep, seed + i)
         se = float(np.sqrt(0.25 / n_rep))
         rows.append((mu, v, a, b, p_prod, p_elppd, se))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .. import hypercal
 from ..datasets import ModularDataset, ParameterError
@@ -176,11 +175,10 @@ def mixture_optimal_gamma(kind: str, stats: MixtureStats) -> float:
             return (stats.sigma1_sq + mu ** 2) / (2.0 * (var + stats.sigma1_sq))
     else:
         raise ParameterError(f"unknown kind {kind!r}")
-    res = minimize_scalar(obj, bounds=(0.0, 1.0), method="bounded",
-                          options={"xatol": 1e-10})
-    # the bounded minimizer never lands exactly on an endpoint; snap when flat
-    g = float(res.x)
+    g = hypercal.golden_max(lambda x: -obj(x), 0.0, 1.0)
+    # the search never lands exactly on an endpoint; snap when flat
+    best = obj(g)
     for edge in (0.0, 1.0):
-        if obj(edge) <= res.fun:
+        if obj(edge) <= best:
             g = edge
     return g

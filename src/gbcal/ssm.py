@@ -123,63 +123,60 @@ def ssm_log_posterior_phi2(phi2, data: SsmDataset, truth: SsmTruth,
 
 @dataclass(frozen=True)
 class SsmPhiPosterior:
-    """Normalized phi^2 posterior on a grid, with predictive helpers."""
+    """Normalized phi^2 posteriors of one dataset, each on its own log grid
+    of _FINE points: row i of phi2 and log_density, shape (E, _FINE), is the
+    posterior at etas[i].  A single posterior, row(i), drops the eta axis.
+    This class alone scores held-out anchor pairs against them."""
 
-    phi2: np.ndarray        # grid, increasing
-    log_density: np.ndarray  # normalized wrt phi2
-    eta: float
+    etas: np.ndarray          # (E,), or a scalar for a single posterior
+    phi2: np.ndarray          # grids, increasing along the last axis
+    log_density: np.ndarray   # normalized wrt phi2
 
     @property
     def log_weights(self) -> np.ndarray:
-        """log of (density * trapezoid weight); sums to ~1 in probability."""
-        w = np.gradient(self.phi2)
-        return self.log_density + np.log(w)
-
-    def mean_phi2(self) -> float:
-        return float(np.sum(np.exp(self.log_weights) * self.phi2))
-
-    def block_log_predictive(self, y: SsmDataset) -> np.ndarray:
-        """Per-block log predictive density of calibration anchor pairs."""
-        return anchor_pair_log_predictive(anchor_residuals(y), self.phi2,
-                                          self.log_weights)
-
-    def pooled_log_predictive(self, y: SsmDataset) -> float:
-        r = anchor_residuals(y)
-        return float(anchor_pair_log_predictive(np.sum(r), self.phi2,
-                                                self.log_weights, len(r)))
-
-
-@dataclass(frozen=True)
-class SsmPhiLattice:
-    """Normalized phi^2 posteriors of one dataset at several etas: row i of
-    phi2 and log_density, shape (E, _FINE), is the posterior at etas[i]."""
-
-    etas: np.ndarray
-    phi2: np.ndarray
-    log_density: np.ndarray
+        """log of (density * trapezoid weight); each row sums to ~1 in
+        probability."""
+        return self.log_density + np.log(np.gradient(self.phi2, axis=-1))
 
     def row(self, i: int) -> SsmPhiPosterior:
-        return SsmPhiPosterior(phi2=self.phi2[i],
-                               log_density=self.log_density[i],
-                               eta=float(self.etas[i]))
+        return SsmPhiPosterior(etas=self.etas[i], phi2=self.phi2[i],
+                               log_density=self.log_density[i])
+
+    def block_log_predictive(self, y: SsmDataset) -> np.ndarray:
+        """Per-block log predictive density of y's anchor pairs under each
+        row, shape (E, J), or (J,) for a single posterior; one (E, J, _FINE)
+        array."""
+        return anchor_pair_log_predictive(anchor_residuals(y),
+                                          self.phi2[..., None, :],
+                                          self.log_weights[..., None, :])
 
     def log_predictive(self, y: SsmDataset, kind: str) -> np.ndarray:
-        """Calibration log predictive of y at every eta, shape (E,):
+        """Calibration log predictive of y under each row, shape (E,):
         "pooled" scores the joint density of all anchor pairs, "product"
         sums the per-block densities."""
-        r = anchor_residuals(y)
-        log_w = self.log_density + np.log(np.gradient(self.phi2, axis=1))
         if kind == "pooled":
-            return anchor_pair_log_predictive(np.sum(r), self.phi2, log_w,
-                                              len(r))
+            r = anchor_residuals(y)
+            return anchor_pair_log_predictive(np.sum(r), self.phi2,
+                                              self.log_weights, len(r))
         if kind != "product":
             raise ParameterError(f"kind must be pooled or product, got {kind!r}")
-        return np.sum(anchor_pair_log_predictive(r, self.phi2[:, None],
-                                                 log_w[:, None]), axis=1)
+        return np.sum(self.block_log_predictive(y), axis=-1)
+
+    def test_set_log_predictive(self, tests) -> np.ndarray:
+        """Per-block log predictive densities of equally sized test sets
+        under each row, shape (E, n_sets, blocks).  Each row scores the
+        anchor pairs of all test sets in its own (n_sets * blocks, _FINE)
+        array: phi2 is built column by column, and one broadcast array
+        would take that order, eta innermost, and reduce over _FINE at a
+        stride of E."""
+        r = np.concatenate([anchor_residuals(z) for z in tests])
+        rows = [self.row(i) for i in range(len(self.etas))]
+        return np.stack([anchor_pair_log_predictive(r, p.phi2, p.log_weights)
+                         .reshape(len(tests), -1) for p in rows])
 
 
 def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth,
-                          etas) -> SsmPhiLattice:
+                          etas) -> SsmPhiPosterior:
     """Locate each eta's phi^2 posterior on a coarse log grid, then refine
     it on its own log grid of _FINE points; all etas at once."""
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
@@ -197,8 +194,8 @@ def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth,
     lp = log_post(grid, etas)
     lp -= np.max(lp, axis=1, keepdims=True)
     norm = np.trapezoid(np.exp(lp), grid, axis=1)
-    return SsmPhiLattice(etas=etas, phi2=grid,
-                         log_density=lp - np.log(norm)[:, None])
+    return SsmPhiPosterior(etas=etas, phi2=grid,
+                           log_density=lp - np.log(norm)[:, None])
 
 
 def build_ssm_phi_posterior(data: SsmDataset, truth: SsmTruth,

@@ -278,8 +278,9 @@ def test_risk_ratio_matches_one_lattice_per_eta(tmp_path):
              for eta in (0.3, 1.0)}
     tests = [datasets.simulate_ssm(truth, 20, 6, 2 + 7000 + k)
              for k in range(4)]
-    rep = evaluation.risk_ratio_product(
-        0.3, 1.0, tests, lambda eta, z: posts[eta].block_log_predictive(z))
+    scores = {eta: np.array([post.block_log_predictive(z) for z in tests])
+              for eta, post in posts.items()}
+    rep = evaluation.risk_ratio_product(0.3, 1.0, scores[0.3], scores[1.0])
     want = json.dumps({"s1": rep.s1, "s2": rep.s2, "value": rep.value,
                        "mean_log_ratio": rep.mean_log_ratio,
                        "mc_se": rep.mc_se, "n_test_sets": rep.n_test_sets},

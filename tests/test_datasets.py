@@ -19,20 +19,13 @@ from gbcal.datasets import (
 )
 
 
-def test_hyperpoint_beta_b_reciprocal():
-    with pytest.raises(ParameterError):
-        HyperPoint(beta=2.0, b=0.3)
-    # consistent pair is allowed
-    HyperPoint(beta=2.0, b=0.5)
-
-
 def test_hyperpoint_domains():
     with pytest.raises(ParameterError):
         HyperPoint(eta=-0.1)
     with pytest.raises(ParameterError):
         HyperPoint(gamma=1.5)
     with pytest.raises(ParameterError):
-        HyperPoint(beta=0.0)
+        HyperPoint(b=0.0)
 
 
 def test_simulate_mixture_sizes_and_determinism():

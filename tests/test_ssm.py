@@ -4,9 +4,10 @@ from scipy import stats
 
 from gbcal.datasets import ParameterError, SsmTruth, simulate_ssm
 from gbcal.sampling import ar1_bridge, rwm_batch
-from gbcal.ssm import (SsmJointTarget, build_ssm_phi_posterior,
-                       ssm_empirical_losses, ssm_eta_b_grid_posterior,
-                       ssm_eta_b_nested_draws, ssm_log_posterior_phi2)
+from gbcal.ssm import (SsmJointTarget, build_ssm_phi_lattice,
+                       build_ssm_phi_posterior, ssm_empirical_losses,
+                       ssm_eta_b_grid_posterior, ssm_eta_b_nested_draws,
+                       ssm_log_posterior_phi2)
 
 
 def small_data(n_blocks=5, d_x=6, seed=0, **truth_kw):
@@ -101,21 +102,25 @@ def test_negative_eta_rejected():
         ssm_log_posterior_phi2(1.0, data, truth, -0.5)
 
 
+def _mean_phi2(post):
+    return float(np.sum(np.exp(post.log_weights) * post.phi2))
+
+
 def test_posterior_normalizes_and_concentrates():
     data, truth = small_data(n_blocks=200, seed=4)
     post = build_ssm_phi_posterior(data, truth, eta=1.0)
     mass = np.trapezoid(np.exp(post.log_density), post.phi2)
     assert mass == pytest.approx(1.0, abs=1e-6)
     # phi_M* = phi_A* = 1, so the posterior should sit near phi^2 = 1
-    assert abs(post.mean_phi2() - 1.0) < 0.15
+    assert abs(_mean_phi2(post) - 1.0) < 0.15
 
 
 def test_posterior_tracks_interior_scale_with_eta():
     """With misspecified interior noise (phi_M* < phi_A*), increasing eta
     pulls the posterior toward the interior scale."""
     data, truth = small_data(n_blocks=300, seed=5, phi_M_star=0.5)
-    m_low = build_ssm_phi_posterior(data, truth, eta=0.2).mean_phi2()
-    m_high = build_ssm_phi_posterior(data, truth, eta=5.0).mean_phi2()
+    m_low = _mean_phi2(build_ssm_phi_posterior(data, truth, eta=0.2))
+    m_high = _mean_phi2(build_ssm_phi_posterior(data, truth, eta=5.0))
     assert m_high < m_low
     assert m_high < 0.6  # near the interior variance 0.25, far below 1
 
@@ -143,8 +148,32 @@ def test_pooled_predictive_agrees_with_direct_sum():
     dens = np.array([
         np.prod(stats.norm.pdf(calib.x_anchor, calib.theta_anchor, np.sqrt(t)))
         for t in post.phi2])
-    assert post.pooled_log_predictive(calib) == pytest.approx(
+    assert post.log_predictive(calib, "pooled") == pytest.approx(
         np.log(np.sum(w * dens)), abs=1e-10)
+
+
+def test_one_eta_posterior_is_a_lattice_row():
+    """A posterior built alone at eta is bitwise the row of any lattice
+    that contains eta."""
+    data, truth = small_data(n_blocks=12, seed=10, phi_M_star=0.5)
+    etas = [0.0, 0.3, 1.0, 4.0]
+    lattice = build_ssm_phi_lattice(data, truth, etas)
+    for i, eta in enumerate(etas):
+        one, row = build_ssm_phi_posterior(data, truth, eta), lattice.row(i)
+        assert one.etas == row.etas == eta
+        for field in ("phi2", "log_density", "log_weights"):
+            assert np.array_equal(getattr(one, field), getattr(row, field))
+
+
+def test_lattice_block_predictive_matches_rows():
+    data, truth = small_data(n_blocks=12, seed=11, phi_M_star=0.5)
+    calib, _ = small_data(n_blocks=7, seed=12, phi_M_star=0.5)
+    lattice = build_ssm_phi_lattice(data, truth, [0.0, 0.25, 1.0, 3.0])
+    per = lattice.block_log_predictive(calib)
+    assert per.shape == (4, 7)
+    for i in range(4):
+        assert np.allclose(per[i], lattice.row(i).block_log_predictive(calib),
+                           rtol=0.0, atol=1e-13)
 
 
 def test_empirical_losses_shapes_and_large_eta_growth():
