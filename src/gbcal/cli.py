@@ -3,6 +3,8 @@
 Subcommands: simulate, calibrate, study, oracle-check, risk-ratio.  Options
 come from a JSON config file overridden by flags; the fully resolved config
 is always written next to the outputs so a run can be replayed exactly.
+Each command runs from that resolved config; of the flags, it reads only
+the output directory and study's --jobs.
 
 Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 runtime error.
 """
@@ -29,9 +31,9 @@ EXIT_RUNTIME = 3
 
 # The config keys each command reads, with their defaults, per kind
 # (simulate and calibrate) or suite (oracle-check); study and risk-ratio
-# have one kind, None.  A default of None is resolved by the command from
-# --fast.  seed and the kind key itself are accepted everywhere they apply;
-# any other key exits 2 rather than being dropped.
+# have one kind, None.  A (full, fast) pair of defaults is chosen by --fast.
+# seed and the kind key itself are accepted everywhere they apply; any other
+# key exits 2 rather than being dropped.
 _SSM_DATA = {"phi_M_star": 1.0, "n_total_blocks": 60, "d_x": 6}
 _ETA_GRID = {"eta_upper": 1.0, "grid_points": 41}
 _CONFIG_KEYS = {
@@ -48,8 +50,8 @@ _CONFIG_KEYS = {
     }),
     "study": (None, None, {
         None: {**_SSM_DATA, **_ETA_GRID, "n_train_blocks": 10,
-               "n_replicates": None, "n_test_sets": None, "test_blocks": 100,
-               "loss": "product", "risk_method": "simulate"},
+               "n_replicates": (100, 20), "n_test_sets": (30, 10),
+               "test_blocks": 100, "loss": "product", "risk_method": "simulate"},
     }),
     "risk_ratio": (None, None, {
         None: {**_SSM_DATA, "test_blocks": 100, "n_test_sets": 30,
@@ -57,16 +59,18 @@ _CONFIG_KEYS = {
     }),
     "oracle_check": ("suite", "conjugate", {
         "conjugate": {}, "mixture": {}, "laplace-aghq": {},
-        "table-f1": {"table_n_rep": None},
+        "table-f1": {"table_n_rep": (10 ** 4, 2000)},
     }),
 }
 
 
 def _load_config(args) -> dict:
     """The config file, then the --seed flag (and oracle-check's suite),
-    then the defaults of every key the command and kind read; seed defaults
-    to 0.  A resolved config written by another command, an unknown kind and
-    a key the command and kind do not read are rejected."""
+    then the defaults of every key the command and kind read, --fast
+    choosing from each (full, fast) pair; seed defaults to 0.  A resolved
+    config written by another command, an unknown kind, a key the command
+    and kind do not read, a value whose type does not fit its key's default
+    and a negative seed are rejected; no value is coerced."""
     cfg = {}
     name = args.command.replace("-", "_")
     if args.config:
@@ -96,12 +100,20 @@ def _load_config(args) -> dict:
         what = f"{args.command} {kind}" if kind_key else args.command
         raise SystemExit(_fail(EXIT_CONFIG, f"config keys not read by "
                                f"{what}: {sorted(unknown)}"))
-    cfg.setdefault("seed", 0)
+    defaults = {"seed": 0, **{k: v[args.fast] if isinstance(v, tuple) else v
+                              for k, v in keys.items()}}
+    for key, value in cfg.items():
+        want = type(defaults.get(key, kind))   # the kind key: a known kind
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if want is float else want):
+            raise SystemExit(_fail(EXIT_CONFIG, f"{key} must be of type "
+                                   f"{want.__name__}, got {value!r}"))
+    if cfg.get("seed", 0) < 0:
+        raise SystemExit(_fail(EXIT_CONFIG, f"seed must be non-negative, "
+                               f"got {cfg['seed']}"))
     if kind_key:
         cfg[kind_key] = kind
-    cfg.update({k: v for k, v in keys.items()
-                if v is not None and k not in cfg})
-    return cfg
+    return {**defaults, **cfg}
 
 
 def _fail(code: int, msg: str) -> int:
@@ -109,32 +121,22 @@ def _fail(code: int, msg: str) -> int:
     return code
 
 
-def _outdir(args) -> Path:
+def _write_resolved(cfg: dict, args) -> Path | None:
+    """Write the resolved config as <command>_config.json and return the
+    output directory; oracle-check writes files only with --out, and
+    returns None without it."""
+    if args.command == "oracle-check" and not args.out:
+        return None
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_resolved(cfg: dict, args) -> Path | None:
-    """Echo the resolved config and return None on --dry-run; otherwise
-    write it as <command>_config.json and return the output directory."""
-    if args.dry_run:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
-        return None
-    out = _outdir(args)
     name = args.command.replace("-", "_")
     with open(out / f"{name}_config.json", "w") as fh:
         json.dump(dict(cfg, command=name), fh, indent=2, sort_keys=True)
     return out
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    kind = cfg["kind"]
-    out = _write_resolved(cfg, args)
-    if out is None:
-        return EXIT_OK
-    seed = cfg["seed"]
+def cmd_simulate(cfg: dict, out: Path, args) -> int:
+    kind, seed = cfg["kind"], cfg["seed"]
     meta = {"seed": seed, "kind": kind}
     if kind == "mixture":
         truth = MixtureTruth(lambda_star=cfg["lambda_star"])
@@ -155,11 +157,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
-    out = _write_resolved(cfg, args)
-    if out is None:
-        return EXIT_OK
+def cmd_calibrate(cfg: dict, out: Path, args) -> int:
     seed, loss = cfg["seed"], cfg["loss"]
     if cfg["kind"] == "ssm":
         truth = SsmTruth(phi_M_star=cfg["phi_M_star"])
@@ -186,13 +184,7 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def cmd_study(args) -> int:
-    cfg = _load_config(args)
-    cfg.setdefault("n_replicates", 20 if args.fast else 100)
-    cfg.setdefault("n_test_sets", 10 if args.fast else 30)
-    out = _write_resolved(cfg, args)
-    if out is None:
-        return EXIT_OK
+def cmd_study(cfg: dict, out: Path, args) -> int:
     config = evaluation.SsmStudyConfig(
         truth=SsmTruth(phi_M_star=cfg["phi_M_star"]),
         n_total_blocks=cfg["n_total_blocks"],
@@ -208,11 +200,7 @@ def cmd_study(args) -> int:
     return EXIT_OK
 
 
-def cmd_risk_ratio(args) -> int:
-    cfg = _load_config(args)
-    out = _write_resolved(cfg, args)
-    if out is None:
-        return EXIT_OK
+def cmd_risk_ratio(cfg: dict, out: Path, args) -> int:
     seed, eta1, eta2 = cfg["seed"], cfg["eta1"], cfg["eta2"]
     truth = SsmTruth(phi_M_star=cfg["phi_M_star"])
     full = datasets.simulate_ssm(truth, cfg["n_total_blocks"], cfg["d_x"], seed)
@@ -231,16 +219,8 @@ def cmd_risk_ratio(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_check(args) -> int:
-    cfg = _load_config(args)
-    suite = cfg["suite"]
-    if suite == "table-f1":
-        cfg.setdefault("table_n_rep", 2000 if args.fast else 10 ** 4)
-    # echoed on --dry-run, written only with --out: no stray files otherwise
-    if args.dry_run or args.out:
-        if _write_resolved(cfg, args) is None:
-            return EXIT_OK
-    seed = cfg["seed"]
+def cmd_oracle_check(cfg: dict, out: Path | None, args) -> int:
+    suite, seed = cfg["suite"], cfg["seed"]
     failures = []
 
     def check(name, ok, detail=""):
@@ -249,75 +229,72 @@ def cmd_oracle_check(args) -> int:
         if not ok:
             failures.append(name)
 
-    try:
-        if suite == "table-f1":
-            expected = {(0.5, 0.1): (0.62, 0.73), (1.0, 0.1): (0.72, 0.94),
-                        (4.0, 0.1): (0.62, 0.71), (1.0, 1.0): (0.60, 0.77),
-                        (2.0, 4.0): (0.59, 0.71)}
-            tol = 0.02 + (0.02 if args.fast else 0.0)
-            rows = conj_oracle.interior_probability_table(
-                list(expected), 10, 10, cfg["table_n_rep"], seed)
-            for row in rows:
-                mu, v = row[0], row[1]
-                p1, p2 = row[4], row[5]
-                e1, e2 = expected[(mu, v)]
-                check(f"finite-optimum probabilities ({mu},{v})",
-                      abs(p1 - e1) <= tol and abs(p2 - e2) <= tol,
-                      f"got ({p1:.3f},{p2:.3f}) want ({e1},{e2}) +-{tol}")
-            if args.out:
-                conj_oracle.write_interior_table_csv(
-                    _outdir(args) / "interior_table.csv", rows)
-        elif suite == "conjugate":
-            stats = conj_oracle.ConjStats.from_data(
-                datasets.simulate_conjugate_normal(0.0, 10, seed), 2.0, 1.0)
-            y = datasets.simulate_conjugate_normal(0.0, 3, seed + 1)
-            theta, sig2 = conj_oracle.conj_power_sample(stats, 5.0, 10 ** 5,
-                                                        seed + 2)
-            from scipy.stats import norm
+    if suite == "table-f1":
+        expected = {(0.5, 0.1): (0.62, 0.73), (1.0, 0.1): (0.72, 0.94),
+                    (4.0, 0.1): (0.62, 0.71), (1.0, 1.0): (0.60, 0.77),
+                    (2.0, 4.0): (0.59, 0.71)}
+        # about four Monte Carlo SEs of a probability near 0.7 at
+        # either budget
+        tol = 0.02 if cfg["table_n_rep"] >= 10 ** 4 else 0.04
+        rows = conj_oracle.interior_probability_table(
+            list(expected), 10, 10, cfg["table_n_rep"], seed)
+        for row in rows:
+            mu, v = row[0], row[1]
+            p1, p2 = row[4], row[5]
+            e1, e2 = expected[(mu, v)]
+            check(f"finite-optimum probabilities ({mu},{v})",
+                  abs(p1 - e1) <= tol and abs(p2 - e2) <= tol,
+                  f"got ({p1:.3f},{p2:.3f}) want ({e1},{e2}) +-{tol}")
+        if out is not None:
+            conj_oracle.write_interior_table_csv(out / "interior_table.csv",
+                                                 rows)
+    elif suite == "conjugate":
+        stats = conj_oracle.ConjStats.from_data(
+            datasets.simulate_conjugate_normal(0.0, 10, seed), 2.0, 1.0)
+        y = datasets.simulate_conjugate_normal(0.0, 3, seed + 1)
+        theta, sig2 = conj_oracle.conj_power_sample(stats, 5.0, 10 ** 5,
+                                                    seed + 2)
+        from scipy.stats import norm
 
-            mat = norm.logpdf(y.points[None, :], loc=theta[:, None],
-                              scale=np.sqrt(sig2)[:, None])
-            from scipy.special import logsumexp
+        mat = norm.logpdf(y.points[None, :], loc=theta[:, None],
+                          scale=np.sqrt(sig2)[:, None])
+        from scipy.special import logsumexp
 
-            mc = float(np.sum(logsumexp(mat, axis=0) - np.log(len(theta))))
-            exact = conj_oracle.conj_product_log_predictive(y, stats, 5.0)
-            check("product predictive, MC vs closed form",
-                  abs(mc - exact) < 0.05, f"|{mc:.4f} - {exact:.4f}|")
-            d = conj_oracle.conj_pooled_target_deriv(7.0, stats)
-            h = 1e-5
-            fd = (conj_oracle.conj_pooled_target(7.0 + h, stats)
-                  - conj_oracle.conj_pooled_target(7.0 - h, stats)) / (2 * h)
-            check("target derivative vs finite difference",
-                  abs(d - fd) < 1e-6 * max(1, abs(d)))
-        elif suite == "mixture":
-            truth = MixtureTruth()
-            data = datasets.simulate_mixture(truth, 30, 60, seed)
-            stats = mix_oracle.MixtureStats.from_data(data)
-            m0, v0 = mix_oracle.mixture_gamma_smi(stats, 0.0)
-            check("cut posterior matches module-1-only update",
-                  abs(m0 - np.mean(data.x1.points)) < 1e-12
-                  and abs(v0 - 16.0 / 30) < 1e-12)
-            m1g, v1g = mix_oracle.mixture_gamma_smi(stats, 1.0)
-            m1e, v1e = mix_oracle.mixture_eta_smi(stats, 1.0)
-            check("gamma=1 equals eta=1",
-                  abs(m1g - m1e) < 1e-12 and abs(v1g - v1e) < 1e-12)
-        else:                                   # laplace-aghq
-            truth = MixtureTruth()
-            errs = []
-            for n2 in (50, 100, 200):
-                data = datasets.simulate_mixture(truth, 30, n2, seed)
-                x2 = data.x2.points
-                # evaluating at the conditional mean isolates the curvature
-                # part of the error, which decays cleanly at rate 1/n2
-                exact, lap = _mixture_marginal_pair(x2, phi=float(np.mean(x2)))
-                errs.append(abs(lap - exact))
-            check("error halving in n2",
-                  all(1.5 < errs[i] / errs[i + 1] < 2.7 for i in range(2)),
-                  f"errors {['%.2e' % e for e in errs]}")
-    except ParameterError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    except Exception as exc:  # noqa: BLE001
-        return _fail(EXIT_RUNTIME, f"{type(exc).__name__}: {exc}")
+        mc = float(np.sum(logsumexp(mat, axis=0) - np.log(len(theta))))
+        exact = conj_oracle.conj_product_log_predictive(y, stats, 5.0)
+        check("product predictive, MC vs closed form",
+              abs(mc - exact) < 0.05, f"|{mc:.4f} - {exact:.4f}|")
+        d = conj_oracle.conj_pooled_target_deriv(7.0, stats)
+        h = 1e-5
+        fd = (conj_oracle.conj_pooled_target(7.0 + h, stats)
+              - conj_oracle.conj_pooled_target(7.0 - h, stats)) / (2 * h)
+        check("target derivative vs finite difference",
+              abs(d - fd) < 1e-6 * max(1, abs(d)))
+    elif suite == "mixture":
+        truth = MixtureTruth()
+        data = datasets.simulate_mixture(truth, 30, 60, seed)
+        stats = mix_oracle.MixtureStats.from_data(data)
+        m0, v0 = mix_oracle.mixture_gamma_smi(stats, 0.0)
+        check("cut posterior matches module-1-only update",
+              abs(m0 - np.mean(data.x1.points)) < 1e-12
+              and abs(v0 - 16.0 / 30) < 1e-12)
+        m1g, v1g = mix_oracle.mixture_gamma_smi(stats, 1.0)
+        m1e, v1e = mix_oracle.mixture_eta_smi(stats, 1.0)
+        check("gamma=1 equals eta=1",
+              abs(m1g - m1e) < 1e-12 and abs(v1g - v1e) < 1e-12)
+    else:                                   # laplace-aghq
+        truth = MixtureTruth()
+        errs = []
+        for n2 in (50, 100, 200):
+            data = datasets.simulate_mixture(truth, 30, n2, seed)
+            x2 = data.x2.points
+            # evaluating at the conditional mean isolates the curvature
+            # part of the error, which decays cleanly at rate 1/n2
+            exact, lap = _mixture_marginal_pair(x2, phi=float(np.mean(x2)))
+            errs.append(abs(lap - exact))
+        check("error halving in n2",
+              all(1.5 < errs[i] / errs[i + 1] < 2.7 for i in range(2)),
+              f"errors {['%.2e' % e for e in errs]}")
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)
         return EXIT_TOLERANCE
@@ -363,7 +340,9 @@ def main(argv=None) -> int:
     common.add_argument("--out", help="output directory")
     common.add_argument("--dry-run", action="store_true",
                         help="echo the resolved config and exit")
-    # only the commands that read --fast or --jobs accept them
+    # only the commands that read --fast or --jobs accept them; the others
+    # resolve their config as without --fast
+    common.set_defaults(fast=False)
     fast = argparse.ArgumentParser(add_help=False)
     fast.add_argument("--fast", action="store_true",
                       help="reduced budgets for quick runs")
@@ -381,7 +360,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        if args.dry_run:
+            print(json.dumps(cfg, indent=2, sort_keys=True))
+            return EXIT_OK
+        return args.func(cfg, _write_resolved(cfg, args), args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_CONFIG

@@ -30,10 +30,12 @@ class HyperPoint:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.eta is not None and self.eta < 0:
-            raise ParameterError(f"eta must be nonnegative, got {self.eta}")
-        if self.b is not None and self.b <= 0:
-            raise ParameterError(f"b must be positive, got {self.b}")
+        # written so that NaN fails each check
+        if self.eta is not None and not 0 <= self.eta < np.inf:
+            raise ParameterError(f"eta must be finite and nonnegative, "
+                                 f"got {self.eta}")
+        if self.b is not None and not 0 < self.b < np.inf:
+            raise ParameterError(f"b must be finite and positive, got {self.b}")
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
             raise ParameterError(f"gamma must be in [0,1], got {self.gamma}")
 

@@ -127,17 +127,6 @@ class ReplicateStudy:
     estimator_sets: list
     risk_reports: list  # list of dicts: name -> RiskRatioReport
 
-    def quantile_rows(self):
-        """(min, q25, median, q75, max, mean) of risk ratios per estimator."""
-        rows = {}
-        names = self.risk_reports[0].keys()
-        for name in names:
-            vals = np.array([rep[name].value for rep in self.risk_reports
-                             if name in rep])
-            rows[name] = (vals.min(), *np.percentile(vals, [25, 50, 75]),
-                          vals.max(), vals.mean())
-        return rows
-
     def write_jsonl(self, path):
         with open(path, "w") as fh:
             for i, (est, reps) in enumerate(zip(self.estimator_sets,
@@ -152,11 +141,16 @@ class ReplicateStudy:
                 fh.write(json.dumps(rec) + "\n")
 
     def write_summary_csv(self, path):
-        rows = self.quantile_rows()
+        """(min, q25, median, q75, max, mean) of the risk ratios per
+        comparison."""
         with open(path, "w") as fh:
             fh.write("comparison,min,q25,median,q75,max,mean\n")
-            for name, vals in rows.items():
-                fh.write(name + "," + ",".join(f"{v:.6g}" for v in vals) + "\n")
+            for name in self.risk_reports[0]:
+                vals = np.array([rep[name].value for rep in self.risk_reports
+                                 if name in rep])
+                row = (vals.min(), *np.percentile(vals, [25, 50, 75]),
+                       vals.max(), vals.mean())
+                fh.write(name + "," + ",".join(f"{v:.6g}" for v in row) + "\n")
 
 
 def _ssm_eta_posterior(train, calib, truth, grid: SGrid, kind: str) -> GridPosterior:

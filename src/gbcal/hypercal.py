@@ -38,9 +38,10 @@ class SGrid:
         if len(axes) not in (1, 2):
             raise ParameterError("grids support one or two axes")
         for a in axes:
-            if len(a) < 4 or np.any(np.diff(a) <= 0):
-                raise ParameterError("each axis must be strictly increasing "
-                                     "with at least 4 points")
+            if (len(a) < 4 or not np.all(np.isfinite(a))
+                    or np.any(np.diff(a) <= 0)):
+                raise ParameterError("each axis must be finite and strictly "
+                                     "increasing with at least 4 points")
         if len(self.names) != len(axes):
             raise ParameterError("one name per axis")
         object.__setattr__(self, "axes", axes)

@@ -11,7 +11,6 @@ from .conjugate import (
     conj_product_log_predictive,
     conj_tail_coefficients,
     interior_probability_table,
-    write_interior_table_csv,
 )
 from .mixture import (
     MixtureStats,

@@ -60,7 +60,7 @@ def mixture_gamma_smi(stats: MixtureStats, gamma):
     Vectorized over gamma.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any((gamma < 0) | (gamma > 1)):
+    if not np.all((gamma >= 0) & (gamma <= 1)):       # NaN fails too
         raise ParameterError("gamma must lie in [0,1]")
     _check_proper(stats, float(np.min(gamma)) * stats.n2)
     denom2 = stats.sigma2_sq + stats.n2 * stats.s_theta_sq
@@ -77,8 +77,8 @@ def mixture_eta_smi(stats: MixtureStats, eta):
     (joint in the auxiliary theta') is tempered by eta.  Vectorized over eta.
     """
     eta = np.asarray(eta, dtype=float)
-    if np.any(eta < 0):
-        raise ParameterError("eta must be nonnegative")
+    if not np.all(np.isfinite(eta) & (eta >= 0)):
+        raise ParameterError("eta must be finite and nonnegative")
     _check_proper(stats, float(np.min(eta)) * stats.n2)
     denom2 = stats.sigma2_sq + stats.n2 * eta * stats.s_theta_sq
     prec = eta * stats.n2 / denom2 + stats.n1 / stats.sigma1_sq

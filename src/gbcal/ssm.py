@@ -114,8 +114,8 @@ def ssm_log_posterior_phi2(phi2, data: SsmDataset, truth: SsmTruth,
                            eta: float):
     """Unnormalized log posterior of phi^2 with interior latents integrated
     out, vectorized over phi2.  Valid for the plain (likelihood) loss."""
-    if eta < 0:
-        raise ParameterError("eta must be nonnegative")
+    if not 0 <= eta < np.inf:
+        raise ParameterError("eta must be finite and nonnegative")
     t = np.atleast_1d(np.asarray(phi2, dtype=float))
     lp = _tempered_log_marginal(data, truth)(t[None, :], [eta])[0]
     return lp if np.ndim(phi2) else float(lp[0])
@@ -180,8 +180,8 @@ def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth,
     """Locate each eta's phi^2 posterior on a coarse log grid, then refine
     it on its own log grid of _FINE points; all etas at once."""
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    if np.any(etas < 0):
-        raise ParameterError("eta must be nonnegative")
+    if not np.all(np.isfinite(etas) & (etas >= 0)):
+        raise ParameterError("eta must be finite and nonnegative")
     log_post = _tempered_log_marginal(data, truth)
     n = len(_COARSE)
     lp = log_post(np.broadcast_to(_COARSE, (len(etas), n)), etas)

@@ -125,6 +125,34 @@ def test_flag_not_read_by_command_rejected(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,cfg,flags", [
+    ("calibrate", {"grid_points": 2.5}, []),
+    ("calibrate", {"n_total_blocks": "ten"}, []),
+    ("calibrate", {"seed": 1.5}, []),
+    ("calibrate", {"kind": "mixture", "J": True}, []),
+    ("calibrate", {"kind": "mixture", "lambda_star": "0.9"}, []),
+    ("study", {"n_replicates": 2.5}, []),
+    ("risk-ratio", {"eta1": None}, []),
+    ("simulate", {"seed": -1}, []),
+    ("simulate", {}, ["--seed", "-1"]),
+    # NaN and infinity pass the type check and fail where they are used
+    ("calibrate", {"eta_upper": float("nan")}, []),
+    ("calibrate", {"kind": "mixture", "eta_upper": float("inf")}, []),
+    ("risk-ratio", {"eta1": float("nan")}, []),
+    ("risk-ratio", {"eta2": float("inf")}, []),
+])
+def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
+    """A value must fit the type of its key's default (an int is a float, a
+    bool is not a number), seed must be non-negative and a hyperparameter
+    finite; nothing is coerced and nothing but the resolved config is
+    written."""
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(out)]
+                + flags) == EXIT_CONFIG
+    assert {p.suffix for p in out.glob("*")} <= {".json"}
+
+
 def test_malformed_config_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     for text in ("{not json", "[1, 2]"):
@@ -221,6 +249,7 @@ def test_study_fast(tmp_path):
         assert all(np.isfinite(v) for v in logs.values())
     summary = (tmp_path / "study_summary.csv").read_text().splitlines()
     assert summary[0] == "comparison,min,q25,median,q75,max,mean"
+    assert len(summary) == 1 + 2                # vs plain Bayes and vs cut
 
 
 def test_study_fast_dry_run_resolves_sizes(capsys):
@@ -386,8 +415,9 @@ def test_oracle_check_table_fast():
 
 def test_oracle_check_dry_run_and_replay(tmp_path, capsys, monkeypatch):
     """--dry-run echoes the resolved config and runs nothing; --out records
-    it, with the table budget that --fast chose, so the run replays; without
-    --out nothing is written."""
+    it, with the table budget that --fast chose, so the run replays from the
+    file alone, without --fast, with the same checks, tolerance and exit
+    code; without --out nothing is written."""
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"suite": "table-f1", "table_n_rep": 10}))
@@ -396,17 +426,22 @@ def test_oracle_check_dry_run_and_replay(tmp_path, capsys, monkeypatch):
         "suite": "table-f1", "table_n_rep": 10, "seed": 0}
     assert main(["oracle-check", "mixture"]) == EXIT_OK
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    capsys.readouterr()
     first, replay = tmp_path / "first", tmp_path / "replay"
     assert main(["oracle-check", "table-f1", "--fast", "--seed", "2",
                  "--out", str(first)]) == EXIT_OK
+    checks = capsys.readouterr().err
     resolved = json.loads((first / "oracle_check_config.json").read_text())
     assert resolved == {"command": "oracle_check", "suite": "table-f1",
                         "table_n_rep": 2000, "seed": 2}
     assert main(["oracle-check", "--config",
-                 str(first / "oracle_check_config.json"), "--fast",
+                 str(first / "oracle_check_config.json"),
                  "--out", str(replay)]) == EXIT_OK
-    assert ((first / "interior_table.csv").read_bytes()
-            == (replay / "interior_table.csv").read_bytes())
+    assert capsys.readouterr().err == checks
+    table = (first / "interior_table.csv").read_bytes()
+    assert table.startswith(b"mu_sigma2,var_sigma2,a,b,")
+    assert len(table.splitlines()) == 1 + 5     # one row per prior setting
+    assert (replay / "interior_table.csv").read_bytes() == table
 
 
 def test_oracle_check_unknown_suite(tmp_path):

@@ -26,6 +26,10 @@ def test_hyperpoint_domains():
         HyperPoint(gamma=1.5)
     with pytest.raises(ParameterError):
         HyperPoint(b=0.0)
+    for bad in (np.nan, np.inf):
+        for name in ("eta", "b", "gamma"):
+            with pytest.raises(ParameterError):
+                HyperPoint(**{name: bad})
 
 
 def test_simulate_mixture_sizes_and_determinism():

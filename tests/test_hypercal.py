@@ -28,6 +28,9 @@ def test_sgrid_validation():
         SGrid(axes=(np.array([0.0, 0.5, 0.4, 1.0]),), names=("eta",))
     with pytest.raises(ParameterError):
         SGrid.regular([(0, 1)], ["a", "b"])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            SGrid(axes=(np.array([0.0, 0.5, 1.0, bad]),), names=("eta",))
     g = SGrid.regular([(0, 1), (0, 2)], ["eta", "b"], 5)
     assert g.shape == (5, 5)
     pts = g.points()

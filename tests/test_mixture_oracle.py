@@ -78,6 +78,16 @@ def test_improper_configuration_raises():
     mixture_gamma_smi(s, 0.5)  # fine with positive weight
 
 
+@pytest.mark.parametrize("smi,bad", [(mixture_gamma_smi, 1.5),
+                                     (mixture_gamma_smi, np.nan),
+                                     (mixture_eta_smi, -0.5),
+                                     (mixture_eta_smi, np.nan),
+                                     (mixture_eta_smi, np.inf)])
+def test_weight_outside_domain_rejected(smi, bad):
+    with pytest.raises(ParameterError):
+        smi(make_stats(), [0.5, bad])
+
+
 def test_pooled_loss_matches_dense_gaussian():
     s = make_stats(seed=7)
     rng = np.random.default_rng(8)

@@ -98,8 +98,11 @@ def test_log_posterior_eta_one_is_plain_bayes():
 
 def test_negative_eta_rejected():
     data, truth = small_data()
-    with pytest.raises(ParameterError):
-        ssm_log_posterior_phi2(1.0, data, truth, -0.5)
+    for eta in (-0.5, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            ssm_log_posterior_phi2(1.0, data, truth, eta)
+        with pytest.raises(ParameterError):
+            build_ssm_phi_lattice(data, truth, [0.5, eta])
 
 
 def _mean_phi2(post):
