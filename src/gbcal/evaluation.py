@@ -113,6 +113,8 @@ class SsmStudyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_replicates < 1:
+            raise ParameterError("n_replicates must be >= 1")
         if self.risk_method not in ("simulate", "exact"):
             raise ParameterError("risk_method must be 'simulate' or 'exact', "
                                  f"got {self.risk_method!r}")
@@ -154,6 +156,9 @@ class ReplicateStudy:
 
 
 def _ssm_eta_posterior(train, calib, truth, grid: SGrid, kind: str) -> GridPosterior:
+    if train.n_blocks == 0 or calib.n_blocks == 0:
+        raise ParameterError("the eta lattice needs at least one training "
+                             "and one calibration block")
     etas = grid.axes[0]
     log_pred = build_ssm_phi_lattice(train, truth, etas).log_predictive(calib,
                                                                         kind)

@@ -49,6 +49,8 @@ class SGrid:
 
     @classmethod
     def regular(cls, bounds, names, n: int = 41) -> "SGrid":
+        if not np.all(np.isfinite(bounds)):     # before linspace warns on them
+            raise ParameterError("grid bounds must be finite")
         axes = tuple(np.linspace(lo, hi, n) for lo, hi in bounds)
         return cls(axes=axes, names=tuple(names))
 

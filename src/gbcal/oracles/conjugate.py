@@ -297,6 +297,8 @@ def conj_interior_probability(mu_prior: float, var_prior: float, n: int, J: int,
     the standard normal truth the finite-optimum events are {A_J1 > 0}
     (empirical product objective) and {Abar_inf > 0} (its population limit).
     """
+    if n_rep < 1:
+        raise ParameterError("n_rep must be >= 1")
     a, b = _invgamma_from_moments(mu_prior, var_prior)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_rep, n))

@@ -89,47 +89,53 @@ def mixture_eta_smi(stats: MixtureStats, eta):
     return mean, var
 
 
-def _pooled_loss_from_posterior(mu_phi, var_phi, sigma1_sq, y1) -> float:
+def _pooled_loss_from_posterior(mu_phi, var_phi, sigma1_sq, y1):
     """Negative log joint predictive of y1 under phi ~ N(mu_phi, var_phi).
 
     The joint predictive is N(mu_phi * 1, var_phi * 11' + sigma1_sq * I);
     the rank-one structure reduces it to sample-mean and scatter terms.
+    Broadcasts over arrays of posterior moments; a float for scalars.
     """
     y1 = np.asarray(y1, dtype=float)
     J = len(y1)
     ybar = float(np.mean(y1))
     scatter = float(np.sum((y1 - ybar) ** 2))
     total = J * var_phi + sigma1_sq
-    return (J / 2.0 * np.log(2.0 * np.pi * sigma1_sq)
-            - 0.5 * np.log(sigma1_sq / total)
-            + scatter / (2.0 * sigma1_sq)
-            + J * (ybar - mu_phi) ** 2 / (2.0 * total))
+    out = (J / 2.0 * np.log(2.0 * np.pi * sigma1_sq)
+           - 0.5 * np.log(sigma1_sq / total)
+           + scatter / (2.0 * sigma1_sq)
+           + J * (ybar - mu_phi) ** 2 / (2.0 * total))
+    return out if np.ndim(out) else float(out)
 
 
-def mixture_pooled_loss_gamma(stats: MixtureStats, y1, gamma: float) -> float:
+def mixture_pooled_loss_gamma(stats: MixtureStats, y1, gamma):
     mu, var = mixture_gamma_smi(stats, gamma)
     return _pooled_loss_from_posterior(mu, var, stats.sigma1_sq, y1)
 
 
-def mixture_pooled_loss_eta(stats: MixtureStats, y1, eta: float) -> float:
+def mixture_pooled_loss_eta(stats: MixtureStats, y1, eta):
     mu, var = mixture_eta_smi(stats, eta)
     return _pooled_loss_from_posterior(mu, var, stats.sigma1_sq, y1)
 
 
-def _product_loss_from_posterior(mu_phi, var_phi, sigma1_sq, y1) -> float:
-    """Negative sum of pointwise log predictives, each N(mu_phi, var_phi+sigma1_sq)."""
+def _product_loss_from_posterior(mu_phi, var_phi, sigma1_sq, y1):
+    """Negative sum of pointwise log predictives, each N(mu_phi, var_phi+sigma1_sq).
+
+    Broadcasts over arrays of posterior moments, one row of y1 residuals
+    per posterior; a float for scalars."""
     y1 = np.asarray(y1, dtype=float)
     v = var_phi + sigma1_sq
-    return float(len(y1) / 2.0 * np.log(2.0 * np.pi * v)
-                 + np.sum((y1 - mu_phi) ** 2) / (2.0 * v))
+    sq = np.sum((y1 - np.asarray(mu_phi)[..., None]) ** 2, axis=-1)
+    out = len(y1) / 2.0 * np.log(2.0 * np.pi * v) + sq / (2.0 * v)
+    return out if np.ndim(out) else float(out)
 
 
-def mixture_product_loss_gamma(stats: MixtureStats, y1, gamma: float) -> float:
+def mixture_product_loss_gamma(stats: MixtureStats, y1, gamma):
     mu, var = mixture_gamma_smi(stats, gamma)
     return _product_loss_from_posterior(mu, var, stats.sigma1_sq, y1)
 
 
-def mixture_product_loss_eta(stats: MixtureStats, y1, eta: float) -> float:
+def mixture_product_loss_eta(stats: MixtureStats, y1, eta):
     mu, var = mixture_eta_smi(stats, eta)
     return _product_loss_from_posterior(mu, var, stats.sigma1_sq, y1)
 
@@ -141,7 +147,7 @@ def mixture_grid_posterior(kind: str, stats: MixtureStats, y1,
     The axis name of the 1-d grid picks the family: "gamma" (the weight on
     the module-2 marginal) or "eta" (the tempering of the module-2
     likelihood).  kind is "product" or "pooled"; the prior is uniform on
-    the grid range.
+    the grid range.  One loss call scores the whole grid.
     """
     losses = {("gamma", "product"): mixture_product_loss_gamma,
               ("gamma", "pooled"): mixture_pooled_loss_gamma,
@@ -151,8 +157,10 @@ def mixture_grid_posterior(kind: str, stats: MixtureStats, y1,
     if loss is None:
         raise ParameterError(f"no mixture loss for family {grid.names[0]!r} "
                              f"and kind {kind!r}")
+    if len(y1) == 0:
+        raise ParameterError("no calibration data")
     s = grid.axes[0]
-    log_pred = np.array([-loss(stats, y1, float(v)) for v in s])
+    log_pred = -loss(stats, y1, s)
     return hypercal.grid_posterior_from_values(
         kind, grid, log_pred, hypercal.prior_uniform(s[-1])(s))
 

@@ -74,9 +74,11 @@ def anchor_pair_log_predictive(r, t, log_w, n_pairs: int = 1) -> np.ndarray:
 
 def _tempered_log_marginal(data: SsmDataset, truth: SsmTruth):
     """f(t, etas): unnormalized log posterior of phi^2 at t (E, G) for the
-    etas (E,) row by row, with the interior latents integrated out.  The
-    data summaries, the bridge eigendecomposition among them, are computed
-    once here.  Valid for the plain (likelihood) loss."""
+    etas (E,) row by row, with the interior latents integrated out.  A t of
+    one row (1, G) is shared by all etas, and its eta-free terms are
+    computed once; with no interior emissions the result keeps t's shape.
+    The data summaries, the bridge eigendecomposition among them, are
+    computed once here.  Valid for the plain (likelihood) loss."""
     a, b = truth.invgamma_a, truth.invgamma_b
     const = a * np.log(b) - gammaln(a)
     nA = 2 * data.n_blocks
@@ -98,9 +100,14 @@ def _tempered_log_marginal(data: SsmDataset, truth: SsmTruth):
             # at eta = 0 they drop out and only the anchors remain
             on = etas > 0
             eta = np.where(on, etas, 1.0)
-            ridge = D + (t / eta)[..., None]             # (E, G, k)
-            quad = (1.0 / ridge) @ S
-            logdet = data.n_blocks * np.sum(np.log(ridge), axis=-1)
+            # eigenvalue axis first, so the log-determinant adds k
+            # contiguous (E, G) planes; for k < 8 that is the order of a
+            # sum over a last axis too.  The quadratic form keeps BLAS's
+            # order on a (E, G, k) copy.
+            ridge = D[:, None, None] + np.ascontiguousarray(t / eta)
+            logdet = data.n_blocks * np.sum(np.log(ridge), axis=0)
+            np.reciprocal(ridge, out=ridge)
+            quad = np.ascontiguousarray(np.moveaxis(ridge, 0, -1)) @ S
             lp = lp + np.where(on, (-0.5 * (eta - 1.0) * nM * log_2pi_t
                                     - 0.5 * nM * np.log(eta)
                                     - 0.5 * nM * np.log(2.0 * np.pi)
@@ -169,6 +176,8 @@ class SsmPhiPosterior:
         array: phi2 is built column by column, and one broadcast array
         would take that order, eta innermost, and reduce over _FINE at a
         stride of E."""
+        if not tests:
+            raise ParameterError("need at least one test set")
         r = np.concatenate([anchor_residuals(z) for z in tests])
         rows = [self.row(i) for i in range(len(self.etas))]
         return np.stack([anchor_pair_log_predictive(r, p.phi2, p.log_weights)
@@ -184,7 +193,7 @@ def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth,
         raise ParameterError("eta must be finite and nonnegative")
     log_post = _tempered_log_marginal(data, truth)
     n = len(_COARSE)
-    lp = log_post(np.broadcast_to(_COARSE, (len(etas), n)), etas)
+    lp = np.broadcast_to(log_post(_COARSE[None, :], etas), (len(etas), n))
     keep = lp > np.max(lp, axis=1, keepdims=True) - 45.0
     first = np.argmax(keep, axis=1)
     last = n - 1 - np.argmax(keep[:, ::-1], axis=1)

@@ -140,12 +140,21 @@ def test_flag_not_read_by_command_rejected(tmp_path, argv):
     ("calibrate", {"kind": "mixture", "eta_upper": float("inf")}, []),
     ("risk-ratio", {"eta1": float("nan")}, []),
     ("risk-ratio", {"eta2": float("inf")}, []),
+    # zero counts, and no training or calibration data
+    ("study", {"n_replicates": 0}, []),
+    ("study", {"n_test_sets": 0}, []),
+    ("risk-ratio", {"n_test_sets": 0}, []),
+    ("oracle-check", {"suite": "table-f1", "table_n_rep": 0}, []),
+    ("calibrate", {"n_train_blocks": 0}, []),
+    ("calibrate", {"n_train_blocks": 60}, []),
+    ("calibrate", {"kind": "mixture", "J": 0}, []),
+    ("study", {"n_train_blocks": 0}, []),
 ])
 def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
     """A value must fit the type of its key's default (an int is a float, a
-    bool is not a number), seed must be non-negative and a hyperparameter
-    finite; nothing is coerced and nothing but the resolved config is
-    written."""
+    bool is not a number), seed must be non-negative, a hyperparameter
+    finite, a count positive and the data non-empty; nothing is coerced
+    and nothing but the resolved config is written."""
     path, out = tmp_path / "cfg.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
     assert main([command, "--config", str(path), "--out", str(out)]

@@ -31,6 +31,8 @@ def test_sgrid_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ParameterError):
             SGrid(axes=(np.array([0.0, 0.5, 1.0, bad]),), names=("eta",))
+        with pytest.raises(ParameterError):
+            SGrid.regular([(0.0, bad)], ["eta"])
     g = SGrid.regular([(0, 1), (0, 2)], ["eta", "b"], 5)
     assert g.shape == (5, 5)
     pts = g.points()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gbcal.datasets import MixtureTruth, ParameterError, simulate_mixture
+from gbcal.hypercal import SGrid
 from gbcal.oracles import (
     MixtureStats,
     mixture_eta_smi,
@@ -10,6 +11,7 @@ from gbcal.oracles import (
     mixture_pooled_loss_gamma,
     mixture_product_loss_gamma,
 )
+from gbcal.oracles import mixture as mix
 
 
 def make_stats(n1=25, n2=50, seed=0):
@@ -110,6 +112,23 @@ def test_product_loss_matches_pointwise_gaussian():
     v = var + s.sigma1_sq
     ref = float(np.sum(0.5 * np.log(2 * np.pi * v) + (y1 - mu) ** 2 / (2 * v)))
     assert mixture_product_loss_gamma(s, y1, gamma) == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("family,upper", [("gamma", 1.0), ("eta", 3.0)])
+@pytest.mark.parametrize("kind", ["product", "pooled"])
+def test_grid_posterior_scores_grid_in_one_call(family, upper, kind):
+    """The lattice scores every weight in one broadcast loss call, bit for
+    bit as one scalar call per weight; a scalar call returns a float."""
+    s = make_stats(seed=12)
+    y1 = simulate_mixture(MixtureTruth(), 37, 0, seed=13).x1.points
+    grid = SGrid.regular([(0.0, upper)], [family], 41)
+    loss = getattr(mix, f"mixture_{kind}_loss_{family}")
+    scalar = [loss(s, y1, float(v)) for v in grid.axes[0]]
+    assert all(type(v) is float for v in scalar)
+    gp = mix.mixture_grid_posterior(kind, s, y1, grid)
+    assert np.array_equal(gp.log_pred, -np.array(scalar))
+    with pytest.raises(ParameterError):
+        mix.mixture_grid_posterior(kind, s, y1[:0], grid)
 
 
 def test_optimal_gamma_contaminated_data_is_interior():

@@ -4,7 +4,9 @@ from scipy import stats
 
 from gbcal.datasets import ParameterError, SsmTruth, simulate_ssm
 from gbcal.sampling import ar1_bridge, rwm_batch
-from gbcal.ssm import (SsmJointTarget, build_ssm_phi_lattice,
+from gbcal.ssm import (_COARSE, SsmJointTarget, _interior_residuals,
+                       _tempered_log_marginal, anchor_residuals,
+                       build_ssm_phi_lattice,
                        build_ssm_phi_posterior, ssm_empirical_losses,
                        ssm_eta_b_grid_posterior, ssm_eta_b_nested_draws,
                        ssm_log_posterior_phi2)
@@ -103,6 +105,61 @@ def test_negative_eta_rejected():
             ssm_log_posterior_phi2(1.0, data, truth, eta)
         with pytest.raises(ParameterError):
             build_ssm_phi_lattice(data, truth, [0.5, eta])
+
+
+def _eta_rows_log_marginal(data, truth, t, etas):
+    """The tempered log marginal as one (E, G, k) ridge array reduced over
+    its last axis: the reference the eigenvalue-first layout must match."""
+    from scipy.special import gammaln
+
+    a, b = truth.invgamma_a, truth.invgamma_b
+    SA = float(np.sum(anchor_residuals(data)))
+    R, D = _interior_residuals(data, truth)
+    S, nM = np.sum(R ** 2, axis=0), R.size
+    etas = np.asarray(etas, dtype=float)[:, None]
+    log_2pi_t = np.log(2.0 * np.pi * t)
+    lp = (a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(t) - b / t
+          - data.n_blocks * log_2pi_t - SA / (2.0 * t))
+    on = etas > 0
+    eta = np.where(on, etas, 1.0)
+    ridge = D + (t / eta)[..., None]
+    quad = (1.0 / ridge) @ S
+    logdet = data.n_blocks * np.sum(np.log(ridge), axis=-1)
+    return lp + np.where(on, (-0.5 * (eta - 1.0) * nM * log_2pi_t
+                              - 0.5 * nM * np.log(eta)
+                              - 0.5 * nM * np.log(2.0 * np.pi)
+                              - 0.5 * logdet - 0.5 * quad), 0.0)
+
+
+@pytest.mark.parametrize("d_x", [3, 4, 6, 9, 10, 20])
+def test_log_marginal_matches_eta_row_formula(d_x):
+    """Bit for bit on the shared coarse row and on C- and Fortran-ordered
+    fine grids while the log-determinant adds fewer than 8 terms (d_x < 10).
+    From 8 terms numpy's pairwise sum reorders a last-axis sum but not the
+    plane-by-plane one, so both are sums of k logs rounded differently: a
+    few ulp of the result."""
+    data, truth = small_data(n_blocks=20, d_x=d_x, seed=d_x)
+    etas = np.array([0.0, 0.5, 20.0, 1000.0])
+    f = _tempered_log_marginal(data, truth)
+    fine = build_ssm_phi_lattice(data, truth, etas).phi2
+    cases = [(_COARSE[None, :], np.broadcast_to(_COARSE, (4, len(_COARSE)))),
+             (np.ascontiguousarray(fine),) * 2, (np.asfortranarray(fine),) * 2]
+    for t, t_ref in cases:
+        got = f(t, etas)
+        ref = _eta_rows_log_marginal(data, truth, t_ref, etas)
+        if d_x < 10:
+            assert np.array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+
+def test_lattice_without_interior_emissions():
+    """With d_x = 2 there is nothing to temper: every row is the
+    anchor-only posterior, on the lattice's (E, _FINE) shape."""
+    data, truth = small_data(d_x=2)
+    lat = build_ssm_phi_lattice(data, truth, [0.0, 0.5, 3.0])
+    assert lat.phi2.shape == lat.log_density.shape == (3, 101)
+    assert np.all(lat.log_density == lat.log_density[0])
 
 
 def _mean_phi2(post):
