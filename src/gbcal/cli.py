@@ -22,7 +22,6 @@ from . import datasets, evaluation, hypercal, ssm
 from .datasets import MixtureTruth, ParameterError, SsmTruth
 from .oracles import conjugate as conj_oracle
 from .oracles import mixture as mix_oracle
-from .oracles import quadrature as quad_oracle
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -290,7 +289,8 @@ def cmd_oracle_check(cfg: dict, out: Path | None, args) -> int:
             x2 = data.x2.points
             # evaluating at the conditional mean isolates the curvature
             # part of the error, which decays cleanly at rate 1/n2
-            exact, lap = _mixture_marginal_pair(x2, phi=float(np.mean(x2)))
+            exact, lap = mix_oracle.mixture_module2_log_marginal(
+                x2, phi=float(np.mean(x2)))
             errs.append(abs(lap - exact))
         check("error halving in n2",
               all(1.5 < errs[i] / errs[i + 1] < 2.7 for i in range(2)),
@@ -300,33 +300,6 @@ def cmd_oracle_check(cfg: dict, out: Path | None, args) -> int:
         return EXIT_TOLERANCE
     print("all checks passed", file=sys.stderr)
     return EXIT_OK
-
-
-def _mixture_marginal_pair(x2: np.ndarray, phi: float,
-                           s2: float = 1.0, st2: float = 0.33 ** 2):
-    """(exact, laplace) log marginal of the suspect module at a given phi.
-
-    x2 | phi, theta ~ N(phi + theta, s2) with theta ~ N(0, st2); the exact
-    marginal is multivariate normal with a rank-one covariance bump.
-    """
-    x2 = np.asarray(x2, dtype=float)
-    n2 = len(x2)
-    xbar2 = float(np.mean(x2))
-    scatter = float(np.sum((x2 - xbar2) ** 2))
-    var_marg = s2 + n2 * st2
-    exact = (-0.5 * n2 * np.log(2 * np.pi)
-             - 0.5 * ((n2 - 1) * np.log(s2) + np.log(var_marg))
-             - 0.5 * (scatter / s2 + n2 * (xbar2 - phi) ** 2 / var_marg))
-
-    def r(theta):
-        th = float(theta) if np.ndim(theta) == 0 else float(theta[0])
-        return (0.5 * np.log(2 * np.pi * s2)
-                + np.mean((x2 - phi - th) ** 2) / (2 * s2))
-
-    mode = xbar2 - phi  # likelihood maximizer in theta
-    log_prior = -0.5 * np.log(2 * np.pi * st2) - mode ** 2 / (2 * st2)
-    lap = quad_oracle.laplace_marginal(r, mode, 1.0 / s2, n2, float(log_prior))
-    return float(exact), float(lap)
 
 
 def main(argv=None) -> int:

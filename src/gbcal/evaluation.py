@@ -113,8 +113,9 @@ class SsmStudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_replicates < 1:
-            raise ParameterError("n_replicates must be >= 1")
+        for name in ("n_replicates", "n_test_sets", "test_blocks"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
         if self.risk_method not in ("simulate", "exact"):
             raise ParameterError("risk_method must be 'simulate' or 'exact', "
                                  f"got {self.risk_method!r}")
@@ -163,7 +164,7 @@ def _ssm_eta_posterior(train, calib, truth, grid: SGrid, kind: str) -> GridPoste
     log_pred = build_ssm_phi_lattice(train, truth, etas).log_predictive(calib,
                                                                         kind)
     log_prior = prior_uniform(etas[-1])(etas)
-    return grid_posterior_from_values(kind, grid, log_pred, log_prior)
+    return grid_posterior_from_values(grid, log_pred, log_prior)
 
 
 def run_ssm_replicate(config: SsmStudyConfig, r: int):
@@ -218,6 +219,8 @@ def ssm_replicate_study(config: SsmStudyConfig, jobs: int = 1) -> ReplicateStudy
     Replicates are independently seeded, so jobs > 1 changes nothing but
     wall time.
     """
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -240,21 +243,16 @@ def ssm_replicate_study(config: SsmStudyConfig, jobs: int = 1) -> ReplicateStudy
 class ConcentrationReport:
     slope: float
     sup_distance: float | None
-    gamma_shape: float | None
-    gamma_rate: float | None
 
 
 def concentration_diagnostics(posteriors_by_J: dict,
-                              pooled_reference=None,
-                              boundary_J: float | None = None) -> ConcentrationReport:
+                              pooled_reference=None) -> ConcentrationReport:
     """Summaries of how posteriors behave along a ladder of calibration sizes.
 
     posteriors_by_J maps J to a 1-d GridPosterior (product kind for the
     slope).  pooled_reference, when given, is (gp, log_target_fn) for the
     non-concentrating pooled check: log_target_fn(s) is the unnormalized log
-    of the limiting density, compared in sup norm after normalization.  When
-    boundary_J is set, the largest-J posterior is moment-matched to a Gamma
-    for T = J*s.
+    of the limiting density, compared in sup norm after normalization.
     """
     Js = np.array(sorted(posteriors_by_J), dtype=float)
     sds = np.array([posteriors_by_J[int(J)].sd()[0] for J in Js])
@@ -266,14 +264,7 @@ def concentration_diagnostics(posteriors_by_J: dict,
     if pooled_reference is not None:
         gp, log_target_fn = pooled_reference
         sup = pooled_limit_distance(gp, log_target_fn)
-    shape = rate = None
-    if boundary_J is not None:
-        gp = posteriors_by_J[int(max(posteriors_by_J))]
-        m = gp.mean()[0] * boundary_J
-        v = (gp.sd()[0] * boundary_J) ** 2
-        shape, rate = float(m * m / v), float(m / v)
-    return ConcentrationReport(slope=slope, sup_distance=sup,
-                               gamma_shape=shape, gamma_rate=rate)
+    return ConcentrationReport(slope=slope, sup_distance=sup)
 
 
 def pooled_limit_distance(gp: GridPosterior, log_target_fn) -> float:

@@ -5,7 +5,7 @@ score per point (pooled: joint density of all calibration data; product: sum
 of pointwise densities), splined and normalized into a density.  A nested
 Metropolis sampler provides an off-lattice alternative.  Four point
 estimators summarize a lattice posterior: mean, mode, harmonic mean and
-minimum-KL.
+minimum-KL; the harmonic mean and minimum-KL summaries are 1-d only.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class GridPosterior:
     grid: SGrid
     log_pred: np.ndarray     # lattice shape
     log_prior: np.ndarray    # lattice shape
-    kind: str                # "pooled" | "product"
     _spline: object = field(repr=False, default=None)
     _log_norm: float = field(repr=False, default=0.0)
     _center: float = field(repr=False, default=0.0)  # subtracted before the spline
@@ -185,15 +184,15 @@ class GridPosterior:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def grid_posterior_from_values(kind: str, grid: SGrid, log_pred: np.ndarray,
+def grid_posterior_from_values(grid: SGrid, log_pred: np.ndarray,
                                log_prior: np.ndarray) -> GridPosterior:
     """Assemble the splined, normalized posterior from lattice values.
 
-    Lattice points with missing (non-finite) predictives are dropped from
-    the 1-d spline fit with a warning; 2-d fits require a full lattice.
+    log_pred is either calibration score (pooled or product); the
+    posterior is built the same way from both.  Lattice points with
+    missing (non-finite) predictives are dropped from the 1-d spline fit
+    with a warning; 2-d fits require a full lattice.
     """
-    if kind not in ("pooled", "product"):
-        raise ParameterError(f"kind must be pooled or product, got {kind!r}")
     log_pred = np.asarray(log_pred, dtype=float).reshape(grid.shape)
     log_prior = np.asarray(log_prior, dtype=float).reshape(grid.shape)
     log_post = log_pred + log_prior
@@ -212,7 +211,7 @@ def grid_posterior_from_values(kind: str, grid: SGrid, log_pred: np.ndarray,
         spline = RectBivariateSpline(grid.axes[0], grid.axes[1], log_post,
                                      kx=3, ky=3, s=0)
     gp = GridPosterior(grid=grid, log_pred=log_pred, log_prior=log_prior + 0.0,
-                       kind=kind, _spline=spline, _center=center)
+                       _spline=spline, _center=center)
     return replace(gp, _log_norm=float(np.log(gp.normalization_check())))
 
 
@@ -225,18 +224,20 @@ def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo + y
 
 
-def nested_mcmc(log_prior_fn, bounds, state0, inner_refresh, log_calib,
-                n_outer: int, seed: int):
+def nested_mcmc(bounds, state0, inner_refresh, log_calib, n_outer: int,
+                seed: int):
     """Metropolis over s with parameter draws refreshed by side chains.
 
+    The prior on s is uniform on the bounds box: proposals are reflected
+    into the box, so the prior ratio is always 1 and is not computed.
     state0 holds the current parameter draws (one per calibration block for
     the product loss, a single one for pooled).  The chain starts at the
     centre of the bounds with proposal scale a tenth of their width.  At
     each outer step a new s is proposed, inner_refresh(s', state, seed)
     advances the side chains under the proposed s, and the move is accepted
-    with the prior ratio times the calibration-density ratio of the
-    refreshed versus current draws.  The first 200 steps adapt the scale
-    and are dropped.  Returns (s_draws, accept_rate).
+    with the calibration-density ratio of the refreshed versus current
+    draws.  The first 200 steps adapt the scale and are dropped.  Returns
+    (s_draws, accept_rate).
     """
     burn_in = 200
     if n_outer <= burn_in:
@@ -251,22 +252,18 @@ def nested_mcmc(log_prior_fn, bounds, state0, inner_refresh, log_calib,
     log_s_adapt = 0.0
     state = inner_refresh(s, state0, int(rng.integers(2 ** 63)))
     cur_calib = float(log_calib(state))
-    cur_prior = float(log_prior_fn(tuple(s) if d > 1 else s[0]))
     draws = np.empty((n_outer - burn_in, d))
     n_acc = 0
     for t in range(n_outer):
         prop = _reflect(s + np.exp(log_s_adapt) * scale * rng.standard_normal(d),
                         lo, hi)
-        prop_prior = float(log_prior_fn(tuple(prop) if d > 1 else prop[0]))
-        log_alpha = -np.inf
-        if np.isfinite(prop_prior):
-            new_state = inner_refresh(prop, state, int(rng.integers(2 ** 63)))
-            new_calib = float(log_calib(new_state))
-            log_alpha = (prop_prior - cur_prior) + (new_calib - cur_calib)
-        accepted, log_s_adapt = metropolis_accept(log_alpha, log_s_adapt, t,
-                                                  burn_in, 0.234, rng)
+        new_state = inner_refresh(prop, state, int(rng.integers(2 ** 63)))
+        new_calib = float(log_calib(new_state))
+        accepted, log_s_adapt = metropolis_accept(new_calib - cur_calib,
+                                                  log_s_adapt, t, burn_in,
+                                                  0.234, rng)
         if accepted:
-            s, state, cur_calib, cur_prior = prop, new_state, new_calib, prop_prior
+            s, state, cur_calib = prop, new_state, new_calib
             n_acc += 1
         if t >= burn_in:
             draws[t - burn_in] = s
@@ -381,13 +378,16 @@ def harmonic_mean_estimator(gp: GridPosterior) -> float:
 def kl_estimator(gp: GridPosterior, predictive_sampler, predictive_logpdf,
                  T: int = 400, J_inner: int = 1000,
                  seed: int = 0) -> HyperPoint:
-    """Minimum-KL point summary of the hyperposterior.
+    """Minimum-KL point summary of a 1-d hyperposterior.
 
     Draw s_t from the posterior, simulate z from each predictive
     p_{s_t}(z|y,x), score each of 41 candidate values s' by the average log
     predictive density of the simulated z, smooth over the candidates and
     take the argmax (equivalently the KL argmin).
     """
+    if gp.grid.ndim != 1:
+        raise ParameterError("the minimum-KL estimator needs a 1-d posterior, "
+                             f"got {gp.grid.ndim} axes")
     rng = np.random.default_rng(seed)
     s_draws = gp.sample(T, seed=seed + 1)
     zs = [np.atleast_1d(predictive_sampler(s_draws[t], J_inner, rng))
@@ -417,4 +417,4 @@ def kl_estimator(gp: GridPosterior, predictive_sampler, predictive_logpdf,
         best = float(fine[np.argmax(sm(fine))])
     except ValueError:      # the spline's input checks; fitpack only warns
         best = float(cand[np.argmax(w)])
-    return gp.to_hyperpoint([best] + [np.nan] * (gp.grid.ndim - 1))
+    return gp.to_hyperpoint([best])

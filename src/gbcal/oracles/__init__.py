@@ -3,6 +3,7 @@ from .conjugate import (
     OptimalR,
     conj_interior_probability,
     conj_optimal_r,
+    conj_pointwise_predictive,
     conj_pooled_log_predictive,
     conj_pooled_target,
     conj_pooled_target_deriv,
@@ -17,6 +18,7 @@ from .mixture import (
     mixture_eta_smi,
     mixture_gamma_smi,
     mixture_grid_posterior,
+    mixture_module2_log_marginal,
     mixture_optimal_gamma,
     mixture_pooled_loss_eta,
     mixture_pooled_loss_gamma,

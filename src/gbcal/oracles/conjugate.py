@@ -63,6 +63,11 @@ def _check_r(stats_: ConjStats, r: float):
             f"r={r} gives an improper posterior (need r > {stats_.r0})")
 
 
+def _invgamma_r(stats_: ConjStats, r):
+    """(alpha_r, B_r) of the tempered sigma^2 posterior; r may be an array."""
+    return stats_.a + (r - 1.0) / 2.0, stats_.b + r * stats_.u / 2.0
+
+
 def conj_power_posterior(stats_: ConjStats, r: float):
     """Posterior parameters (theta_loc, theta_scale_factor, alpha_r, B_r).
 
@@ -70,9 +75,16 @@ def conj_power_posterior(stats_: ConjStats, r: float):
     sigma^2 is InvGamma(alpha_r, B_r).
     """
     _check_r(stats_, r)
-    alpha = stats_.a + (r - 1.0) / 2.0
-    B = stats_.b + r * stats_.u / 2.0
-    return stats_.xbar, 1.0 / r, alpha, B
+    return (stats_.xbar, 1.0 / r, *_invgamma_r(stats_, r))
+
+
+def conj_pointwise_predictive(stats_: ConjStats, r):
+    """(df, loc, scale) of the Student-t predictive of one held-out point:
+    (2 alpha_r, xbar, sqrt((1 + 1/r) B_r / alpha_r)).  r may be an array."""
+    if np.any(np.asarray(r) <= stats_.r0):
+        raise ParameterError(f"r must exceed {stats_.r0}")
+    alpha, B = _invgamma_r(stats_, r)
+    return 2.0 * alpha, stats_.xbar, np.sqrt((1.0 + 1.0 / r) * B / alpha)
 
 
 def conj_power_sample(stats_: ConjStats, r: float, size: int, seed: int):
@@ -94,7 +106,6 @@ def conj_pooled_log_predictive(y, stats_: ConjStats, r: float) -> float:
     """
     pts = y.points if isinstance(y, SimpleDataset) else np.asarray(y, dtype=float)
     pts = np.atleast_1d(pts)
-    _check_r(stats_, r)
     J = len(pts)
     _, _, alpha, B = conj_power_posterior(stats_, r)
     nu = 2.0 * alpha
@@ -119,14 +130,8 @@ def conj_product_log_predictive(y, stats_: ConjStats, r) -> float | np.ndarray:
     pts = y.points if isinstance(y, SimpleDataset) else np.asarray(y, dtype=float)
     pts = np.atleast_1d(pts)
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= stats_.r0):
-        raise ParameterError(f"r must exceed {stats_.r0}")
-    alpha = stats_.a + (r_arr - 1.0) / 2.0
-    B = stats_.b + r_arr * stats_.u / 2.0
-    nu = 2.0 * alpha
-    lam = np.sqrt((1.0 + 1.0 / r_arr) * B / alpha)
     out = stats.t.logpdf(pts[..., None] if r_arr.ndim else pts,
-                         df=nu, loc=stats_.xbar, scale=lam).sum(axis=0)
+                         *conj_pointwise_predictive(stats_, r_arr)).sum(axis=0)
     return out if r_arr.ndim else float(out)
 
 
@@ -137,8 +142,7 @@ def conj_pooled_target(r, stats_: ConjStats):
     Vectorized over r.
     """
     r = np.asarray(r, dtype=float)
-    alpha = stats_.a + (r - 1.0) / 2.0
-    B = stats_.b + r * stats_.u / 2.0
+    alpha, B = _invgamma_r(stats_, r)
     g = (0.5 * np.log(r) - 0.5 * np.log(2.0 * np.pi) - r * stats_.Delta ** 2 / 2.0
          + alpha * np.log(B) - special.gammaln(alpha) - B)
     return g if g.ndim else float(g)
@@ -146,8 +150,7 @@ def conj_pooled_target(r, stats_: ConjStats):
 
 def conj_pooled_target_deriv(r, stats_: ConjStats):
     r = np.asarray(r, dtype=float)
-    alpha = stats_.a + (r - 1.0) / 2.0
-    B = stats_.b + r * stats_.u / 2.0
+    alpha, B = _invgamma_r(stats_, r)
     d = 0.5 * (1.0 / r + np.log(B) + alpha * stats_.u / B
                - special.digamma(alpha) - stats_.u - stats_.Delta ** 2)
     return d if d.ndim else float(d)
@@ -224,10 +227,7 @@ def _elppd_objective(stats_: ConjStats):
     w = weights / np.sqrt(2.0 * np.pi)
 
     def f(r):
-        alpha = stats_.a + (r - 1.0) / 2.0
-        B = stats_.b + r * stats_.u / 2.0
-        lam = np.sqrt((1.0 + 1.0 / r) * B / alpha)
-        return float(np.sum(w * stats.t.logpdf(y, df=2 * alpha, loc=stats_.xbar, scale=lam)))
+        return float(np.sum(w * stats.t.logpdf(y, *conj_pointwise_predictive(stats_, r))))
 
     return f
 

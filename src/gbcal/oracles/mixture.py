@@ -11,46 +11,58 @@ so the lattice posterior of the module-2 weight needs no sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .. import hypercal
 from ..datasets import ModularDataset, ParameterError
+from .quadrature import laplace_marginal
 
 
 @dataclass(frozen=True)
 class MixtureStats:
-    """Sufficient statistics of the two data modules plus fixed variances."""
+    """Sufficient statistics of the two data modules; the fitted model's
+    variances are constants."""
 
     n1: int
     n2: int
     sum_x1: float
     sum_x2: float
-    sigma1_sq: float = 16.0
-    sigma2_sq: float = 1.0
-    s_theta_sq: float = 0.33 ** 2
+    sigma1_sq: ClassVar[float] = 16.0
+    sigma2_sq: ClassVar[float] = 1.0
+    s_theta_sq: ClassVar[float] = 0.33 ** 2
 
     def __post_init__(self):
         if self.n1 < 0 or self.n2 < 0:
             raise ParameterError("sample sizes must be nonnegative")
-        for name in ("sigma1_sq", "sigma2_sq", "s_theta_sq"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
 
     @classmethod
-    def from_data(cls, data: ModularDataset, sigma1_sq=16.0, sigma2_sq=1.0,
-                  s_theta_sq=0.33 ** 2) -> "MixtureStats":
+    def from_data(cls, data: ModularDataset) -> "MixtureStats":
         return cls(n1=data.x1.n, n2=data.x2.n,
                    sum_x1=float(np.sum(data.x1.points)),
-                   sum_x2=float(np.sum(data.x2.points)),
-                   sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq,
-                   s_theta_sq=s_theta_sq)
+                   sum_x2=float(np.sum(data.x2.points)))
 
 
 def _check_proper(stats: MixtureStats, weight2: float):
     if stats.n1 == 0 and weight2 <= 0:
         raise ParameterError("posterior improper: no module-1 data and zero "
                              "module-2 weight under a flat phi prior")
+
+
+def _smi_posterior(stats: MixtureStats, weight: np.ndarray, theta_weight):
+    """Gaussian phi-posterior (mean, variance) when module 2 adds
+    weight * n2 / denom2 to the phi precision, where denom2 = sigma2_sq +
+    n2 * theta_weight * s_theta_sq: theta_weight is 1 for gamma (a weighted
+    marginal) and the weight itself for eta (a tempered joint likelihood)."""
+    _check_proper(stats, float(np.min(weight)) * stats.n2)
+    denom2 = stats.sigma2_sq + stats.n2 * theta_weight * stats.s_theta_sq
+    prec = weight * stats.n2 / denom2 + stats.n1 / stats.sigma1_sq
+    var = 1.0 / prec
+    mean = var * (weight * stats.sum_x2 / denom2 + stats.sum_x1 / stats.sigma1_sq)
+    if mean.ndim == 0:
+        return float(mean), float(var)
+    return mean, var
 
 
 def mixture_gamma_smi(stats: MixtureStats, gamma):
@@ -62,14 +74,7 @@ def mixture_gamma_smi(stats: MixtureStats, gamma):
     gamma = np.asarray(gamma, dtype=float)
     if not np.all((gamma >= 0) & (gamma <= 1)):       # NaN fails too
         raise ParameterError("gamma must lie in [0,1]")
-    _check_proper(stats, float(np.min(gamma)) * stats.n2)
-    denom2 = stats.sigma2_sq + stats.n2 * stats.s_theta_sq
-    prec = gamma * stats.n2 / denom2 + stats.n1 / stats.sigma1_sq
-    var = 1.0 / prec
-    mean = var * (gamma * stats.sum_x2 / denom2 + stats.sum_x1 / stats.sigma1_sq)
-    if mean.ndim == 0:
-        return float(mean), float(var)
-    return mean, var
+    return _smi_posterior(stats, gamma, 1.0)
 
 
 def mixture_eta_smi(stats: MixtureStats, eta):
@@ -79,14 +84,7 @@ def mixture_eta_smi(stats: MixtureStats, eta):
     eta = np.asarray(eta, dtype=float)
     if not np.all(np.isfinite(eta) & (eta >= 0)):
         raise ParameterError("eta must be finite and nonnegative")
-    _check_proper(stats, float(np.min(eta)) * stats.n2)
-    denom2 = stats.sigma2_sq + stats.n2 * eta * stats.s_theta_sq
-    prec = eta * stats.n2 / denom2 + stats.n1 / stats.sigma1_sq
-    var = 1.0 / prec
-    mean = var * (eta * stats.sum_x2 / denom2 + stats.sum_x1 / stats.sigma1_sq)
-    if mean.ndim == 0:
-        return float(mean), float(var)
-    return mean, var
+    return _smi_posterior(stats, eta, eta)
 
 
 def _pooled_loss_from_posterior(mu_phi, var_phi, sigma1_sq, y1):
@@ -162,7 +160,7 @@ def mixture_grid_posterior(kind: str, stats: MixtureStats, y1,
     s = grid.axes[0]
     log_pred = -loss(stats, y1, s)
     return hypercal.grid_posterior_from_values(
-        kind, grid, log_pred, hypercal.prior_uniform(s[-1])(s))
+        grid, log_pred, hypercal.prior_uniform(s[-1])(s))
 
 
 def mixture_optimal_gamma(kind: str, stats: MixtureStats) -> float:
@@ -190,3 +188,31 @@ def mixture_optimal_gamma(kind: str, stats: MixtureStats) -> float:
         if obj(edge) <= best:
             g = edge
     return g
+
+
+def mixture_module2_log_marginal(x2, phi: float) -> tuple[float, float]:
+    """(exact, laplace) log marginal of the suspect module at a given phi.
+
+    x2 | phi, theta ~ N(phi + theta, sigma2_sq) with theta ~ N(0,
+    s_theta_sq), the variances of MixtureStats; the exact marginal is
+    multivariate normal with a rank-one covariance bump.
+    """
+    s2, st2 = MixtureStats.sigma2_sq, MixtureStats.s_theta_sq
+    x2 = np.asarray(x2, dtype=float)
+    n2 = len(x2)
+    xbar2 = float(np.mean(x2))
+    scatter = float(np.sum((x2 - xbar2) ** 2))
+    var_marg = s2 + n2 * st2
+    exact = (-0.5 * n2 * np.log(2 * np.pi)
+             - 0.5 * ((n2 - 1) * np.log(s2) + np.log(var_marg))
+             - 0.5 * (scatter / s2 + n2 * (xbar2 - phi) ** 2 / var_marg))
+
+    def r(theta):
+        th = float(theta) if np.ndim(theta) == 0 else float(theta[0])
+        return (0.5 * np.log(2 * np.pi * s2)
+                + np.mean((x2 - phi - th) ** 2) / (2 * s2))
+
+    mode = xbar2 - phi  # likelihood maximizer in theta
+    log_prior = -0.5 * np.log(2 * np.pi * st2) - mode ** 2 / (2 * st2)
+    lap = laplace_marginal(r, mode, 1.0 / s2, n2, float(log_prior))
+    return float(exact), float(lap)

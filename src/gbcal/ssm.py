@@ -213,14 +213,6 @@ def build_ssm_phi_posterior(data: SsmDataset, truth: SsmTruth,
     return build_ssm_phi_lattice(data, truth, [eta]).row(0)
 
 
-def ssm_empirical_losses(data_train: SsmDataset, data_calib: SsmDataset,
-                         truth: SsmTruth, etas) -> tuple[np.ndarray, np.ndarray]:
-    """(pooled, product) calibration losses across a vector of eta values."""
-    lattice = build_ssm_phi_lattice(data_train, truth, etas)
-    return (-lattice.log_predictive(data_calib, "pooled"),
-            -lattice.log_predictive(data_calib, "product"))
-
-
 def ssm_eta_b_grid_posterior(train: SsmDataset, calib: SsmDataset,
                              truth: SsmTruth, grid, n_iter: int = 30000,
                              burn_in: int = 10000, thin: int = 20,
@@ -248,8 +240,7 @@ def ssm_eta_b_grid_posterior(train: SsmDataset, calib: SsmDataset,
     # per lattice point to keep the (J, T) predictive matrix small
     log_pred = np.array([np.sum(anchor_pair_log_predictive(r, t, log_w))
                          for t in phi2])
-    return grid_posterior_from_values("product", grid, log_pred,
-                                      np.zeros(len(pts)))
+    return grid_posterior_from_values(grid, log_pred, np.zeros(len(pts)))
 
 
 def ssm_eta_b_nested_draws(train: SsmDataset, calib: SsmDataset,
@@ -296,7 +287,7 @@ def ssm_eta_b_nested_draws(train: SsmDataset, calib: SsmDataset,
         return float(np.sum(anchor_pair_log_predictive(r, np.exp(phis[:, :1]),
                                                        0.0)))
 
-    return nested_mcmc(lambda s: 0.0, bounds, phi0, inner_refresh, log_calib,
+    return nested_mcmc(bounds, phi0, inner_refresh, log_calib,
                        n_outer=n_outer, seed=seed)
 
 
@@ -313,8 +304,6 @@ class SsmJointTarget:
     """
 
     def __init__(self, data: SsmDataset, truth: SsmTruth):
-        self.data = data
-        self.truth = truth
         self.k = data.d_x - 2
         if self.k < 1:
             raise ParameterError("need interior positions for the joint target")
@@ -331,10 +320,6 @@ class SsmJointTarget:
         self._const = a * np.log(b) - gammaln(a) - 0.5 * self.nA * _LOG_2PI
         self._c_logt = a + 0.5 * self.nA
         self._c_inv2t = 2.0 * b + self.SA
-
-    @property
-    def dim(self) -> int:
-        return 1 + self.nM
 
     def init_state(self) -> np.ndarray:
         return np.concatenate([[0.0], self.prior_mean])

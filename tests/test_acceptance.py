@@ -24,13 +24,15 @@ from gbcal.hypercal import (SGrid, grid_posterior_from_values,
                             harmonic_mean_estimator, kl_estimator,
                             prior_uniform)
 from gbcal.oracles import (ConjStats, MixtureStats, aghq_marginal,
+                           conj_pointwise_predictive,
                            conj_pooled_log_predictive, conj_power_posterior,
                            conj_power_sample, conj_product_log_predictive,
                            interior_probability_table, mixture_eta_smi,
-                           mixture_gamma_smi, mixture_pooled_loss_gamma,
+                           mixture_gamma_smi, mixture_module2_log_marginal,
+                           mixture_pooled_loss_gamma,
                            mixture_product_loss_gamma)
 from gbcal.sampling import rwm_batch
-from gbcal.ssm import (SsmJointTarget, ssm_empirical_losses,
+from gbcal.ssm import (SsmJointTarget, build_ssm_phi_lattice,
                        ssm_eta_b_grid_posterior, ssm_eta_b_nested_draws)
 
 
@@ -109,7 +111,7 @@ def test_pooled_posterior_tracks_nonconcentrating_limit():
     g = grid.axes[0]
     log_pred = np.array([-mixture_pooled_loss_gamma(st, y1, float(gi))
                          for gi in g])
-    gp = grid_posterior_from_values("pooled", grid, log_pred,
+    gp = grid_posterior_from_values(grid, log_pred,
                                     prior_uniform(1.0)(g))
     ybar = float(np.mean(y1))
 
@@ -139,7 +141,7 @@ def test_product_posterior_sd_shrinks_like_root_J():
             y1 = np.sqrt(truth.sigma1_sq) * rng.standard_normal(J)
             lp = np.array([-mixture_product_loss_gamma(st, y1, float(gi))
                            for gi in g])
-            gp = grid_posterior_from_values("product", grid, lp,
+            gp = grid_posterior_from_values(grid, lp,
                                             prior_uniform(1.0)(g))
             per_rep.append(gp.sd()[0])
         sds.append(np.mean(per_rep))
@@ -257,13 +259,11 @@ def test_risk_ratio_direction_well_specified():
 # --- 8. quadrature accuracy and Laplace error rate ------------------------
 
 def test_aghq_matches_closed_form_module_marginal():
-    from gbcal.cli import _mixture_marginal_pair
-
     truth = MixtureTruth()
     data = simulate_mixture(truth, 30, 100, seed=0)
     x2 = data.x2.points
     phi = 0.4
-    exact, _ = _mixture_marginal_pair(x2, phi=phi)
+    exact, _ = mixture_module2_log_marginal(x2, phi=phi)
     st2 = 0.33 ** 2
 
     def log_integrand(theta):
@@ -276,14 +276,12 @@ def test_aghq_matches_closed_form_module_marginal():
 
 
 def test_laplace_error_halves_as_module_doubles():
-    from gbcal.cli import _mixture_marginal_pair
-
     truth = MixtureTruth()
     errs = []
     for n2 in (50, 100, 200):
         data = simulate_mixture(truth, 30, n2, seed=0)
         x2 = data.x2.points
-        exact, lap = _mixture_marginal_pair(x2, phi=float(np.mean(x2)))
+        exact, lap = mixture_module2_log_marginal(x2, phi=float(np.mean(x2)))
         errs.append(abs(lap - exact))
     for i in range(2):
         ratio = errs[i] / errs[i + 1]
@@ -296,7 +294,7 @@ def test_harmonic_mean_of_uniform_posterior_closed_form():
     a, b = 0.2, 0.9
     grid = SGrid.regular([(a, b)], ["eta"], 41)
     x = grid.axes[0]
-    gp = grid_posterior_from_values("product", grid, np.zeros_like(x),
+    gp = grid_posterior_from_values(grid, np.zeros_like(x),
                                     np.zeros_like(x))
     assert harmonic_mean_estimator(gp) == pytest.approx(
         (b - a) / np.log(b / a), abs=1e-6)
@@ -307,7 +305,7 @@ def test_kl_estimator_recovers_point_mass_atom():
     x = grid.axes[0]
     atom = 0.55
     lp = -0.5 * (x - atom) ** 2 / 1e-6
-    gp = grid_posterior_from_values("product", grid, lp, np.zeros_like(x))
+    gp = grid_posterior_from_values(grid, lp, np.zeros_like(x))
 
     def sampler(s, size, rng):
         return rng.normal(float(s[0]), 0.05, size)
@@ -327,21 +325,16 @@ def test_kl_close_to_harmonic_mean_for_power_posterior():
     grid = SGrid.regular([(0.01, 1.0)], ["eta"], 41)
     etas = grid.axes[0]
     lp = conj_product_log_predictive(y, st, n * etas)
-    gp = grid_posterior_from_values("product", grid, lp,
+    gp = grid_posterior_from_values(grid, lp,
                                     prior_uniform(1.0)(etas))
     hm = harmonic_mean_estimator(gp)
 
     def pred_sampler(s, size, rng):
-        r = n * float(s[0])
-        _, _, alpha, B = conj_power_posterior(st, r)
-        lam = np.sqrt((1 + 1 / r) * B / alpha)
-        return st.xbar + lam * rng.standard_t(2 * alpha, size)
+        df, loc, scale = conj_pointwise_predictive(st, n * float(s[0]))
+        return loc + scale * rng.standard_t(df, size)
 
     def pred_logpdf(sp, z):
-        r = n * float(sp)
-        _, _, alpha, B = conj_power_posterior(st, r)
-        lam = np.sqrt((1 + 1 / r) * B / alpha)
-        return sps.t.logpdf(z, 2 * alpha, st.xbar, lam)
+        return sps.t.logpdf(z, *conj_pointwise_predictive(st, n * float(sp)))
 
     hp = kl_estimator(gp, pred_sampler, pred_logpdf, T=400, J_inner=1000,
                       seed=2)
@@ -356,9 +349,10 @@ def test_empirical_losses_increase_at_large_rates():
     for seed in range(10):
         train = simulate_ssm(truth, 10, 6, seed=2 * seed)
         calib = simulate_ssm(truth, 50, 6, seed=2 * seed + 1)
-        pooled, product = ssm_empirical_losses(train, calib, truth, etas)
-        assert np.all(np.diff(pooled) > 0), seed
-        assert np.all(np.diff(product) > 0), seed
+        lattice = build_ssm_phi_lattice(train, truth, etas)
+        for kind in ("pooled", "product"):
+            loss = -lattice.log_predictive(calib, kind)
+            assert np.all(np.diff(loss) > 0), (seed, kind)
 
 
 # --- 11. bit-identical replay ---------------------------------------------

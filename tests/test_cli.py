@@ -149,6 +149,13 @@ def test_flag_not_read_by_command_rejected(tmp_path, argv):
     ("calibrate", {"n_train_blocks": 60}, []),
     ("calibrate", {"kind": "mixture", "J": 0}, []),
     ("study", {"n_train_blocks": 0}, []),
+    # test-set sizes below one, under either risk method, and --jobs below one
+    ("study", {"risk_method": "exact", "test_blocks": -5, "n_replicates": 1}, []),
+    ("study", {"risk_method": "exact", "test_blocks": 0, "n_replicates": 1}, []),
+    ("study", {"risk_method": "exact", "n_test_sets": 0, "n_replicates": 1}, []),
+    ("study", {"test_blocks": 0, "n_replicates": 1, "n_test_sets": 1}, []),
+    ("study", {"n_replicates": 1, "n_test_sets": 1}, ["--jobs", "0"]),
+    ("study", {"n_replicates": 1, "n_test_sets": 1}, ["--jobs", "-4"]),
 ])
 def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
     """A value must fit the type of its key's default (an int is a float, a

@@ -363,7 +363,7 @@ def make_product_posterior(J, sd0=0.2, center=0.5):
     x = grid.axes[0]
     sd = sd0 / np.sqrt(J)
     lp = -0.5 * (x - center) ** 2 / sd ** 2
-    return grid_posterior_from_values("product", grid, lp, np.zeros_like(x))
+    return grid_posterior_from_values(grid, lp, np.zeros_like(x))
 
 
 def test_concentration_slope_minus_half():
@@ -382,17 +382,3 @@ def test_concentration_pooled_reference_distance():
     bad = lambda s: -0.5 * (np.asarray(s) - 0.8) ** 2 / sd ** 2
     assert pooled_limit_distance(gp, bad) > 1.0
 
-
-def test_concentration_gamma_moments():
-    # posterior concentrated near the eta = 0 boundary scaled by J
-    J = 1000
-    grid = SGrid.regular([(0.0, 0.02)], ["eta"], 81)
-    x = grid.axes[0]
-    # Gamma(shape 3, rate J) shaped density in T = J s
-    with np.errstate(divide="ignore"):
-        lp = 2 * np.log(x) - J * x
-    with pytest.warns(UserWarning, match="lattice points missing"):
-        gp = grid_posterior_from_values("product", grid, lp, np.zeros_like(x))
-    rep = concentration_diagnostics({J: gp}, boundary_J=float(J))
-    assert rep.gamma_shape == pytest.approx(3.0, rel=0.05)
-    assert rep.gamma_rate == pytest.approx(1.0, rel=0.05)

@@ -12,13 +12,13 @@ from gbcal.hypercal import (SGrid, compute_estimator_set,
 from gbcal.ssm import anchor_residuals, build_ssm_phi_lattice
 
 
-def gaussian_grid_posterior(mu=0.45, sd=0.1, kind="product", n=41, upper=1.0):
+def gaussian_grid_posterior(mu=0.45, sd=0.1, n=41, upper=1.0):
     """Posterior proportional to a truncated Gaussian; exact moments are
     available through scipy.stats.truncnorm."""
     grid = SGrid.regular([(0.0, upper)], ["eta"], n)
     x = grid.axes[0]
     log_pred = -0.5 * (x - mu) ** 2 / sd ** 2
-    return grid_posterior_from_values(kind, grid, log_pred, prior_uniform(upper)(x))
+    return grid_posterior_from_values(grid, log_pred, prior_uniform(upper)(x))
 
 
 def test_sgrid_validation():
@@ -77,7 +77,7 @@ def test_grid_posterior_2d_normalizes():
     pts = grid.points()
     lp = (-0.5 * (pts[:, 0] - 0.5) ** 2 / 0.04
           - 0.5 * (pts[:, 1] - 1.2) ** 2 / 0.09)
-    gp = grid_posterior_from_values("product", grid, lp, np.zeros(len(pts)))
+    gp = grid_posterior_from_values(grid, lp, np.zeros(len(pts)))
     assert gp.normalization_check() == pytest.approx(1.0, abs=1e-3)
     assert gp.mean() == pytest.approx([0.5, 1.2], abs=5e-3)
     mode = estimate_posterior_mode(gp)
@@ -93,7 +93,7 @@ def test_fine_density_cached_once_and_equal_to_fresh_evaluation():
     pts = grid.points()
     lp = (-0.5 * (pts[:, 0] - 0.5) ** 2 / 0.04
           - 0.5 * (pts[:, 1] - 1.2) ** 2 / 0.09)
-    gp2 = grid_posterior_from_values("product", grid, lp, np.zeros(len(pts)))
+    gp2 = grid_posterior_from_values(grid, lp, np.zeros(len(pts)))
     for gp in (gp1, gp2):
         axes, dens = gp._fine_density
         assert gp._fine_density[1] is dens
@@ -115,7 +115,7 @@ def test_missing_lattice_point_warns_and_recovers():
     lp = -0.5 * (x - 0.5) ** 2 / 0.01
     lp[7] = np.nan
     with pytest.warns(UserWarning, match="lattice points missing"):
-        gp = grid_posterior_from_values("product", grid, lp, np.zeros_like(x))
+        gp = grid_posterior_from_values(grid, lp, np.zeros_like(x))
     assert gp.mean()[0] == pytest.approx(0.5, abs=1e-3)
 
 
@@ -123,7 +123,7 @@ def test_mode_tie_breaks_toward_smaller_values():
     # perfectly flat posterior: the reported mode should sit at the low end
     grid = SGrid.regular([(0.0, 1.0)], ["eta"], 41)
     x = grid.axes[0]
-    gp = grid_posterior_from_values("product", grid, np.zeros_like(x),
+    gp = grid_posterior_from_values(grid, np.zeros_like(x),
                                     np.zeros_like(x))
     assert estimate_posterior_mode(gp).eta == pytest.approx(0.0, abs=1e-6)
 
@@ -134,7 +134,7 @@ def test_mean_mode_consistency_on_skewed_density():
     # Beta(2,5)-shaped: mode 0.2, mean 2/7
     with np.errstate(divide="ignore"):
         lp = np.log(x) + 4 * np.log1p(-x)
-    gp = grid_posterior_from_values("product", grid, lp, np.zeros_like(x))
+    gp = grid_posterior_from_values(grid, lp, np.zeros_like(x))
     assert compute_estimator_set(gp).mean.eta == pytest.approx(2 / 7, abs=5e-3)
     assert estimate_posterior_mode(gp).eta == pytest.approx(0.2, abs=5e-3)
 
@@ -162,7 +162,7 @@ def test_export_csv_log_post_norm_is_log_density(tmp_path):
     also when the lattice values sit far from zero."""
     grid = SGrid.regular([(0.0, 1.0)], ["eta"], 11)
     x = grid.axes[0]
-    gp = grid_posterior_from_values("product", grid,
+    gp = grid_posterior_from_values(grid,
                                     -2822.5 - 30.0 * (x - 0.4) ** 2,
                                     prior_uniform(1.0)(x))
     _, rows = _export(gp, tmp_path / "post1.csv")
@@ -172,7 +172,7 @@ def test_export_csv_log_post_norm_is_log_density(tmp_path):
     grid = SGrid.regular([(0.0, 1.0), (0.5, 2.0)], ["eta", "b"], 6)
     pts = grid.points()
     gp = grid_posterior_from_values(
-        "product", grid,
+        grid,
         -950.0 - 20.0 * (pts[:, 0] - 0.3) ** 2 - 5.0 * (pts[:, 1] - 1.2) ** 2,
         np.zeros(len(pts)))
     _, rows = _export(gp, tmp_path / "post2.csv")
@@ -242,7 +242,7 @@ def test_harmonic_mean_uniform_closed_form():
     a, b = 0.2, 0.9
     grid = SGrid.regular([(a, b)], ["eta"], 41)
     x = grid.axes[0]
-    gp = grid_posterior_from_values("product", grid, np.zeros_like(x),
+    gp = grid_posterior_from_values(grid, np.zeros_like(x),
                                     np.zeros_like(x))
     ref = (b - a) / np.log(b / a)
     assert harmonic_mean_estimator(gp) == pytest.approx(ref, rel=1e-6)
@@ -252,7 +252,7 @@ def test_harmonic_mean_diverges_with_boundary_mass():
     # appreciable density at eta = 0 makes E[1/eta] blow up
     grid = SGrid.regular([(0.0, 1.0)], ["eta"], 41)
     x = grid.axes[0]
-    gp = grid_posterior_from_values("product", grid, np.zeros_like(x),
+    gp = grid_posterior_from_values(grid, np.zeros_like(x),
                                     np.zeros_like(x))
     with pytest.raises(ParameterError):
         harmonic_mean_estimator(gp)
@@ -261,7 +261,7 @@ def test_harmonic_mean_diverges_with_boundary_mass():
 def test_compute_estimator_set_handles_divergent_harmonic():
     grid = SGrid.regular([(0.0, 1.0)], ["eta"], 41)
     x = grid.axes[0]
-    gp = grid_posterior_from_values("product", grid, np.zeros_like(x),
+    gp = grid_posterior_from_values(grid, np.zeros_like(x),
                                     np.zeros_like(x))
     est = compute_estimator_set(gp)
     assert est.harmonic_mean is None
@@ -303,10 +303,27 @@ def test_kl_estimator_rejects_bad_predictive_scores(logpdf, match):
                      seed=4)
 
 
+def test_kl_estimator_rejects_2d_posterior_before_drawing():
+    """The minimum-KL summary is 1-d only; a 2-d posterior is refused
+    before any predictive draw is made."""
+    grid = SGrid.regular([(0.0, 1.0), (0.5, 2.0)], ["eta", "b"], 9)
+    gp = grid_posterior_from_values(grid, np.zeros(81), np.zeros(81))
+    calls = []
+
+    def predictive_sampler(s, size, rng):
+        calls.append(s)
+        return rng.standard_normal(size)
+
+    with pytest.raises(ParameterError, match="1-d posterior, got 2 axes"):
+        kl_estimator(gp, predictive_sampler,
+                     lambda sp, z: stats.norm.logpdf(z), T=5, J_inner=10)
+    assert calls == []
+
+
 def test_nested_mcmc_rejects_nan_calibration_score():
     # a NaN score used to be accepted, after which every proposal was
     with pytest.raises(ParameterError, match="NaN"):
-        nested_mcmc(lambda s: 0.0, [(0.0, 1.0)], np.zeros(1),
+        nested_mcmc([(0.0, 1.0)], np.zeros(1),
                     lambda s, state, seed: state + s,
                     lambda state: np.nan if state[0] > 0.7 else 0.0,
                     n_outer=300, seed=1)
@@ -325,7 +342,7 @@ def test_nested_mcmc_product_matches_grid_posterior():
     etas = grid.axes[0]
     log_pred = np.array([np.sum(stats.norm.logpdf(y, xbar, np.sqrt(1 + 1 / (n * e))))
                          for e in etas])
-    gp = grid_posterior_from_values("product", grid, log_pred,
+    gp = grid_posterior_from_values(grid, log_pred,
                                     prior_uniform(1.0)(etas))
 
     def inner_refresh(s, phis, seed):
@@ -336,9 +353,8 @@ def test_nested_mcmc_product_matches_grid_posterior():
     def log_calib(phis):
         return float(np.sum(stats.norm.logpdf(y, loc=phis[:, 0], scale=1.0)))
 
-    draws, acc = nested_mcmc(prior_uniform(1.0), [(0.05, 1.0)],
-                             np.zeros((J, 1)), inner_refresh, log_calib,
-                             n_outer=6000, seed=7)
+    draws, acc = nested_mcmc([(0.05, 1.0)], np.zeros((J, 1)), inner_refresh,
+                             log_calib, n_outer=6000, seed=7)
     ref = gp.sample(6000, seed=8)[:, 0]
     ks = stats.ks_2samp(draws[:, 0], ref).statistic
     assert 0.1 < acc < 0.9

@@ -7,7 +7,7 @@ from gbcal.sampling import ar1_bridge, rwm_batch
 from gbcal.ssm import (_COARSE, SsmJointTarget, _interior_residuals,
                        _tempered_log_marginal, anchor_residuals,
                        build_ssm_phi_lattice,
-                       build_ssm_phi_posterior, ssm_empirical_losses,
+                       build_ssm_phi_posterior,
                        ssm_eta_b_grid_posterior, ssm_eta_b_nested_draws,
                        ssm_log_posterior_phi2)
 
@@ -240,9 +240,11 @@ def test_empirical_losses_shapes_and_large_eta_growth():
     train, truth = small_data(n_blocks=10, seed=10, phi_M_star=0.5)
     calib, _ = small_data(n_blocks=50, seed=11, phi_M_star=0.5)
     etas = np.array([20.0, 100.0, 1000.0])
-    pooled, product = ssm_empirical_losses(train, calib, truth, etas)
-    assert np.all(np.diff(pooled) > 0)
-    assert np.all(np.diff(product) > 0)
+    lattice = build_ssm_phi_lattice(train, truth, etas)
+    for kind in ("pooled", "product"):
+        loss = -lattice.log_predictive(calib, kind)
+        assert loss.shape == (3,)
+        assert np.all(np.diff(loss) > 0), kind
 
 
 def test_eta_b_grid_posterior_smoke():
