@@ -2,20 +2,24 @@
 
 The workhorse is a lattice of hyperparameter values with a log predictive
 score per point (pooled: joint density of all calibration data; product: sum
-of pointwise densities), splined and normalized into a density.  A nested
-Metropolis sampler provides an off-lattice alternative.  Four point
+of pointwise densities), splined and normalized into a density.  A 1-d
+lattice is splined by the natural cubic interpolant below, which gives the
+same bits as scipy's CubicSpline without importing scipy.interpolate (and
+with it scipy.optimize and scipy.linalg); the 2-d lattice and the
+minimum-KL smoothing spline use scipy, imported when they are called.  A
+nested Metropolis sampler provides an off-lattice alternative.  Four point
 estimators summarize a lattice posterior: mean, mode, harmonic mean and
 minimum-KL; the harmonic mean and minimum-KL summaries are 1-d only.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline, UnivariateSpline
 
 from .datasets import HyperPoint, ParameterError
 from .sampling import metropolis_accept
@@ -68,6 +72,91 @@ class SGrid:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+class _NaturalCubicSpline:
+    """Natural cubic interpolant through (x, y), x strictly increasing.
+
+    A transcription of scipy 1.17.1's CubicSpline(x, y, bc_type="natural")
+    that gives the same bits (de Boor, A Practical Guide to Splines): the knot
+    slopes solve the same tridiagonal system, eliminated as LAPACK's dgtsv
+    does; the Hermite coefficients c (4, n-1) and the evaluation order
+    c3 + c2*s + c1*s*s + c0*s*s*s are scipy's.  Beyond the knots the end
+    cubics extrapolate.  A scalar is evaluated on Python floats, which is
+    several times faster than numpy for one point.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if len(x) < 2:
+            raise ParameterError("a spline needs at least 2 finite lattice "
+                                 f"points, got {len(x)}")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1],
+        # and zero second derivative at both ends
+        diag = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]),
+                               [2 * dx[-1]]))
+        upper = np.concatenate((dx[:1], dx[:-1]))
+        lower = np.concatenate((dx[1:], dx[-1:]))
+        rhs = np.concatenate(([3 * (y[1] - y[0])],
+                              3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                              [3 * (y[-1] - y[-2])]))
+        s = np.array(_gtsv(lower.tolist(), diag.tolist(), upper.tolist(),
+                           rhs.tolist()))
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        self._x_list = x.tolist()
+        self._c_rows = self.c.T.tolist()
+
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            return self._at(float(t))
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0,
+                    len(self.x) - 2)
+        s = t - self.x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        # scipy's sum starts from 0.0, which turns a -0.0 into 0.0
+        return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+    def _at(self, t: float) -> float:
+        xs = self._x_list
+        i = min(max(bisect.bisect_right(xs, t) - 1, 0), len(xs) - 2)
+        c0, c1, c2, c3 = self._c_rows[i]
+        s = t - xs[i]
+        return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solve the tridiagonal system (sub dl, diagonal d, super du) of order
+    n >= 2 for one right-hand side b, as LAPACK's dgtsv does: Gaussian
+    elimination with row interchanges where a subdiagonal entry is larger
+    than its pivot, then back substitution.  The lists are overwritten."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]       # fill-in two places right of d[i]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
 def prior_uniform(upper: float = 1.0):
     def lp(s):
         s = np.asarray(s, dtype=float)
@@ -91,7 +180,7 @@ class GridPosterior:
     def log_density(self, *coords):
         """Normalized log posterior density at arbitrary in-bounds points."""
         if self.grid.ndim == 1:
-            return self._spline(np.asarray(coords[0], dtype=float)) - self._log_norm
+            return self._spline(coords[0]) - self._log_norm
         x, y = (np.asarray(c, dtype=float) for c in coords)
         return self._spline(x, y, grid=False) - self._log_norm
 
@@ -204,10 +293,11 @@ def grid_posterior_from_values(grid: SGrid, log_pred: np.ndarray,
         if not np.all(ok):
             warnings.warn(f"{int((~ok).sum())} lattice points missing; spline "
                           "fit on the rest")
-        spline = CubicSpline(x[ok], log_post[ok], bc_type="natural")
+        spline = _NaturalCubicSpline(x[ok], log_post[ok])
     else:
         if not np.all(np.isfinite(log_post)):
             raise ParameterError("2-d grids need finite values at every point")
+        from scipy.interpolate import RectBivariateSpline
         spline = RectBivariateSpline(grid.axes[0], grid.axes[1], log_post,
                                      kx=3, ky=3, s=0)
     gp = GridPosterior(grid=grid, log_pred=log_pred, log_prior=log_prior + 0.0,
@@ -388,6 +478,8 @@ def kl_estimator(gp: GridPosterior, predictive_sampler, predictive_logpdf,
     if gp.grid.ndim != 1:
         raise ParameterError("the minimum-KL estimator needs a 1-d posterior, "
                              f"got {gp.grid.ndim} axes")
+    if T < 1 or J_inner < 1:
+        raise ParameterError(f"T ({T}) and J_inner ({J_inner}) must be >= 1")
     rng = np.random.default_rng(seed)
     s_draws = gp.sample(T, seed=seed + 1)
     zs = [np.atleast_1d(predictive_sampler(s_draws[t], J_inner, rng))
@@ -411,6 +503,7 @@ def kl_estimator(gp: GridPosterior, predictive_sampler, predictive_logpdf,
         w[i] = float(np.mean(vals))
         se[i] = float(np.std(vals) / np.sqrt(len(vals)))
     se = np.maximum(se, 1e-12)
+    from scipy.interpolate import UnivariateSpline
     try:
         sm = UnivariateSpline(cand, w, w=1.0 / se, k=3, s=len(cand))
         fine = np.linspace(cand[0], cand[-1], _FINE_1D)

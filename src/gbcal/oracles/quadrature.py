@@ -9,7 +9,6 @@ nodes at the integrand's mode and curvature.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from ..datasets import ParameterError
@@ -53,6 +52,7 @@ def aghq_marginal(log_integrand, dim: int, k_points: int = 5,
     if k_points < 1:
         raise ParameterError("k_points must be >= 1")
     if mode is None or hessian is None:
+        from scipy.optimize import minimize
         x0 = np.zeros(dim) if mode is None else np.atleast_1d(mode)
         res = minimize(lambda t: -log_integrand(t if dim > 1 else t[0]),
                        x0, method="BFGS")

@@ -388,28 +388,46 @@ def test_resolved_config_records_defaults_and_replays(tmp_path, command, given,
 
 
 def test_cli_runs_without_scipy_stats(tmp_path):
-    """Importing the CLI, calibrating (ssm and mixture), a small fast study
-    and the laplace-aghq oracle suite never load scipy.stats; only the
-    conjugate oracle imports it.
-    Run in a fresh interpreter: other test modules import scipy.stats."""
+    """Importing the CLI, calibrating (ssm and mixture), fast studies with
+    both risk methods, risk-ratio and simulating (every kind) load none of
+    scipy.stats, scipy.interpolate, scipy.optimize and scipy.linalg: the
+    1-d spline is in-house, and the scipy modules are imported only where
+    the conjugate oracle, the 2-d spline, the minimum-KL smoothing and the
+    AGHQ mode search need them.  The laplace-aghq suite still loads no
+    scipy.stats.
+    Run in a fresh interpreter: other test modules import scipy."""
     code = textwrap.dedent(f"""
         import json, sys
         from pathlib import Path
         from gbcal.cli import main
-        assert "scipy.stats" not in sys.modules, "on import"
+        unused = ("scipy.stats", "scipy.interpolate", "scipy.optimize",
+                  "scipy.linalg")
+
+        def check(when):
+            loaded = [m for m in unused if m in sys.modules]
+            assert not loaded, f"{{when}} loaded {{loaded}}"
+
+        check("import gbcal.cli")
         out = Path({str(tmp_path)!r})
+        study = {{"n_total_blocks": 20, "n_train_blocks": 5,
+                  "n_replicates": 1, "n_test_sets": 2, "test_blocks": 10,
+                  "grid_points": 9}}
         runs = [("calibrate", {{"kind": "ssm", "n_total_blocks": 15,
                                 "n_train_blocks": 5, "grid_points": 9}}),
                 ("calibrate", {{"kind": "mixture", "J": 100}}),
-                ("study", {{"n_total_blocks": 20, "n_train_blocks": 5,
-                            "n_replicates": 1, "n_test_sets": 2,
-                            "test_blocks": 10, "grid_points": 9}})]
+                ("study", study),
+                ("study", {{**study, "risk_method": "exact"}}),
+                ("risk-ratio", {{"n_total_blocks": 20, "test_blocks": 10,
+                                 "n_test_sets": 2}}),
+                ("simulate", {{"kind": "mixture"}}),
+                ("simulate", {{"kind": "ssm", "n_blocks": 10}}),
+                ("simulate", {{"kind": "conjugate"}})]
         for i, (command, cfg) in enumerate(runs):
             path = out / f"cfg{{i}}.json"
             path.write_text(json.dumps(cfg))
             argv = [command, "--config", str(path), "--out", str(out / str(i))]
             assert main(argv + (["--fast"] if command == "study" else [])) == 0
-            assert "scipy.stats" not in sys.modules, command
+            check(f"{{command}} {{cfg}}")
         assert main(["oracle-check", "laplace-aghq"]) == 0
         assert "scipy.stats" not in sys.modules, "oracle-check laplace-aghq"
     """)

@@ -4,8 +4,8 @@ from scipy import stats
 from scipy.special import gammaln
 
 from gbcal.datasets import ParameterError, SsmTruth, simulate_ssm
-from gbcal.hypercal import (SGrid, compute_estimator_set,
-                            estimate_posterior_mode,
+from gbcal.hypercal import (SGrid, _gtsv, _NaturalCubicSpline,
+                            compute_estimator_set, estimate_posterior_mode,
                             grid_posterior_from_values,
                             harmonic_mean_estimator, kl_estimator, nested_mcmc,
                             prior_uniform)
@@ -117,6 +117,10 @@ def test_missing_lattice_point_warns_and_recovers():
     with pytest.warns(UserWarning, match="lattice points missing"):
         gp = grid_posterior_from_values(grid, lp, np.zeros_like(x))
     assert gp.mean()[0] == pytest.approx(0.5, abs=1e-3)
+    lp[np.arange(41) != 20] = np.nan
+    with pytest.warns(UserWarning, match="40 lattice points missing"), \
+            pytest.raises(ParameterError, match="at least 2 finite"):
+        grid_posterior_from_values(grid, lp, np.zeros_like(x))
 
 
 def test_mode_tie_breaks_toward_smaller_values():
@@ -137,6 +141,62 @@ def test_mean_mode_consistency_on_skewed_density():
     gp = grid_posterior_from_values(grid, lp, np.zeros_like(x))
     assert compute_estimator_set(gp).mean.eta == pytest.approx(2 / 7, abs=5e-3)
     assert estimate_posterior_mode(gp).eta == pytest.approx(0.2, abs=5e-3)
+
+
+def _spline_cases():
+    """(x, y) knot sets: uniform lattices of 4-61 points; lattices with
+    dropped points, among them a spacing h followed by a gap of 3h, whose
+    first row dgtsv eliminates by a row interchange; and log densities near
+    -2800, as the mixture lattice gives."""
+    rng = np.random.default_rng(16)
+    cases = [(np.linspace(0.0, 1.0, n), rng.normal(size=n))
+             for n in range(4, 62)]
+    for drop in ([2], [2, 3], [1, 5, 6], [7], [0, 39], [20, 21, 22, 30]):
+        x = np.delete(np.linspace(0.0, 1.0, 41), drop)
+        cases.append((x, -0.5 * (x - 0.4) ** 2 / 0.01))
+    x = np.array([0.0, 0.1, 0.4, 0.5, 0.6, 0.7])
+    cases.append((x, rng.normal(size=6)))
+    for n in (11, 41):
+        x = np.linspace(0.0, 3.0, n)
+        cases.append((x, -2822.5 - 30.0 * (x - 0.4) ** 2
+                      + 1e-3 * rng.normal(size=n)))
+    return cases
+
+
+def test_natural_spline_matches_scipy_cubic_spline():
+    """The in-house spline is scipy's natural CubicSpline: coefficients,
+    values on arrays and scalars, at the knots, the end points and beyond
+    them.  With scipy 1.17.1 the two agree bit for bit; other scipy and
+    LAPACK builds may differ in the last bits."""
+    from scipy.interpolate import CubicSpline
+
+    def close(got, want):
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    for x, y in _spline_cases():
+        ref = CubicSpline(x, y, bc_type="natural")
+        sp = _NaturalCubicSpline(x, y)
+        assert sp.c.shape == (4, len(x) - 1)
+        close(sp.c, ref.c)
+        t = np.concatenate([np.linspace(x[0], x[-1], 401),
+                            [x[0] - 0.05, x[-1] + 0.05]])
+        close(sp(t), ref(t))
+        close(sp(x), y)
+        for v in (x[0], x[-1], x[1], 0.5 * (x[1] + x[2]), x[-1] + 0.05):
+            assert isinstance(sp(v), float)
+            close(sp(v), ref(v))
+            close(sp(np.float64(v)), ref(v))
+
+
+def test_gtsv_pivots_like_lapack():
+    """A pivot far smaller than the entry below it is swapped out: without
+    the interchange, elimination by 1e-20 loses the solution entirely."""
+    dl, d, du = [1.0, 1.0, 1.0], [1e-20, 1.0, 3.0, 2.0], [1.0, 1e-20, 1.0]
+    a = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+    b = [1.0, 2.0, 3.0, 4.0]
+    want = np.linalg.solve(a, b)
+    np.testing.assert_allclose(_gtsv(dl, d, du, list(b)), want, rtol=1e-12)
 
 
 def _export(gp, path):
@@ -317,6 +377,25 @@ def test_kl_estimator_rejects_2d_posterior_before_drawing():
     with pytest.raises(ParameterError, match="1-d posterior, got 2 axes"):
         kl_estimator(gp, predictive_sampler,
                      lambda sp, z: stats.norm.logpdf(z), T=5, J_inner=10)
+    assert calls == []
+
+
+@pytest.mark.parametrize("counts", [dict(T=0), dict(J_inner=0),
+                                    dict(T=-3, J_inner=-1)])
+def test_kl_estimator_rejects_counts_below_one(counts):
+    """No draws at all cannot summarize the predictive: a zero count is
+    refused before anything is drawn, not answered with numpy's errors
+    or the lower bound."""
+    gp = gaussian_grid_posterior(mu=0.62, sd=0.004)
+    calls = []
+
+    def predictive_sampler(s, size, rng):
+        calls.append(s)
+        return rng.standard_normal(size)
+
+    with pytest.raises(ParameterError, match="must be >= 1"):
+        kl_estimator(gp, predictive_sampler,
+                     lambda sp, z: stats.norm.logpdf(z), **counts)
     assert calls == []
 
 
