@@ -4,7 +4,11 @@ Subcommands: simulate, calibrate, study, oracle-check, risk-ratio.  Options
 come from a JSON config file overridden by flags; the fully resolved config
 is always written next to the outputs so a run can be replayed exactly.
 Each command runs from that resolved config; of the flags, it reads only
-the output directory and study's --jobs.
+the output directory and study's --jobs.  study has three kinds: the SSM
+replicate risk study (ssm), the mixture posteriors along a ladder of
+calibration sizes (mixture-concentration), and the nested sampler against
+the (eta, b) lattice (nested-check).  --fast and --jobs exit 2 where they
+would change nothing.
 
 Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 runtime error.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +34,8 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 # The config keys each command reads, with their defaults, per kind
-# (simulate and calibrate) or suite (oracle-check); study and risk-ratio
-# have one kind, None.  A (full, fast) pair of defaults is chosen by --fast.
+# (simulate, calibrate and study) or suite (oracle-check); risk-ratio has
+# one kind, None.  A (full, fast) pair of defaults is chosen by --fast.
 # seed and the kind key itself are accepted everywhere they apply; any other
 # key exits 2 rather than being dropped.
 _SSM_DATA = {"phi_M_star": 1.0, "n_total_blocks": 60, "d_x": 6}
@@ -47,10 +52,19 @@ _CONFIG_KEYS = {
         "mixture": {**_ETA_GRID, "loss": "product", "lambda_star": 0.9,
                     "n1": 30, "n2": 60, "J": 1000, "family": "gamma"},
     }),
-    "study": (None, None, {
-        None: {**_SSM_DATA, **_ETA_GRID, "n_train_blocks": 10,
-               "n_replicates": (100, 20), "n_test_sets": (30, 10),
-               "test_blocks": 100, "loss": "product", "risk_method": "simulate"},
+    "study": ("kind", "ssm", {
+        "ssm": {**_SSM_DATA, **_ETA_GRID, "n_train_blocks": 10,
+                "n_replicates": (100, 20), "n_test_sets": (30, 10),
+                "test_blocks": 100, "loss": "product",
+                "risk_method": "simulate"},
+        "mixture-concentration": {"n1": 25, "n2": 10000, "lambda_star": 0.9,
+                                  "J_ladder": [100, 1000, 10000],
+                                  "grid_points": 41},
+        "nested-check": {"n_train_blocks": 10, "d_x": 6, "phi_M_star": 0.7,
+                         "J_ladder": ([10, 20, 40], [10]),
+                         "eta_bounds": [0.05, 1.0], "b_bounds": [0.25, 1.0],
+                         "grid_points": 9, "n_outer": (4000, 250),
+                         "inner_len": (200, 5)},
     }),
     "risk_ratio": (None, None, {
         None: {**_SSM_DATA, "test_blocks": 100, "n_test_sets": 30,
@@ -67,9 +81,11 @@ def _load_config(args) -> dict:
     """The config file, then the --seed flag (and oracle-check's suite),
     then the defaults of every key the command and kind read, --fast
     choosing from each (full, fast) pair; seed defaults to 0.  A resolved
-    config written by another command, an unknown kind, a key the command
-    and kind do not read, a value whose type does not fit its key's default
-    and a negative seed are rejected; no value is coerced."""
+    config written by another command, an unknown kind, --fast for a kind
+    without such a pair, --jobs for a study kind other than ssm, a key the
+    command and kind do not read (n_test_sets under exact risk), a value
+    whose type does not fit its key's default and a negative seed are
+    rejected; no value is coerced."""
     cfg = {}
     name = args.command.replace("-", "_")
     if args.config:
@@ -94,9 +110,17 @@ def _load_config(args) -> dict:
     except (KeyError, TypeError):
         raise SystemExit(_fail(EXIT_CONFIG, f"unknown {args.command} "
                                f"{kind_key} {kind!r}")) from None
+    what = f"{args.command} {kind}" if kind_key else args.command
+    if args.fast and not any(isinstance(v, tuple) for v in keys.values()):
+        raise SystemExit(_fail(EXIT_CONFIG, f"--fast changes nothing for "
+                               f"{what}"))
+    if getattr(args, "jobs", None) is not None and kind != "ssm":
+        raise SystemExit(_fail(EXIT_CONFIG, f"--jobs is not read by {what}"))
+    if cfg.get("risk_method") == "exact":    # which draws no test set
+        keys = {k: v for k, v in keys.items() if k != "n_test_sets"}
+        what += " under exact risk"
     unknown = set(cfg) - set(keys) - {"seed", kind_key}
     if unknown:
-        what = f"{args.command} {kind}" if kind_key else args.command
         raise SystemExit(_fail(EXIT_CONFIG, f"config keys not read by "
                                f"{what}: {sorted(unknown)}"))
     defaults = {"seed": 0, **{k: v[args.fast] if isinstance(v, tuple) else v
@@ -184,18 +208,132 @@ def cmd_calibrate(cfg: dict, out: Path, args) -> int:
 
 
 def cmd_study(cfg: dict, out: Path, args) -> int:
+    if cfg["kind"] == "mixture-concentration":
+        return _mixture_concentration(cfg, out)
+    if cfg["kind"] == "nested-check":
+        return _nested_check(cfg, out)
+    # exact risk resolves no n_test_sets: the dataclass default keeps
+    # config_hash the same with and without --fast
+    sizes = {"n_test_sets": cfg["n_test_sets"]} if "n_test_sets" in cfg else {}
     config = evaluation.SsmStudyConfig(
         truth=SsmTruth(phi_M_star=cfg["phi_M_star"]),
         n_total_blocks=cfg["n_total_blocks"],
         n_train_blocks=cfg["n_train_blocks"], d_x=cfg["d_x"],
-        n_replicates=cfg["n_replicates"], n_test_sets=cfg["n_test_sets"],
+        n_replicates=cfg["n_replicates"], **sizes,
         test_blocks=cfg["test_blocks"], eta_upper=cfg["eta_upper"],
         grid_points=cfg["grid_points"], kind=cfg["loss"],
         risk_method=cfg["risk_method"], seed=cfg["seed"])
-    study = evaluation.ssm_replicate_study(config, jobs=args.jobs)
+    study = evaluation.ssm_replicate_study(
+        config, jobs=1 if args.jobs is None else args.jobs)
     study.write_jsonl(out / "study.jsonl")
     study.write_summary_csv(out / "study_summary.csv")
     print(f"study written to {out}", file=sys.stderr)
+    return EXIT_OK
+
+
+def _ladder(cfg: dict, least: int) -> list:
+    ladder = cfg["J_ladder"]
+    if not (len(ladder) >= least
+            and all(type(J) is int and J >= 1 for J in ladder)
+            and len(set(ladder)) == len(ladder)):
+        raise ParameterError(f"J_ladder must hold at least {least} distinct "
+                             f"ints >= 1, got {ladder}")
+    return ladder
+
+
+def _bounds(cfg: dict, key: str, lo_positive: bool) -> tuple:
+    lohi = cfg[key]
+    if not (len(lohi) == 2
+            and all(type(v) in (int, float) and np.isfinite(v) for v in lohi)
+            and lohi[0] < lohi[1] and (lohi[0] > 0 if lo_positive
+                                       else lohi[0] >= 0)):
+        raise ParameterError(f"{key} must be two finite numbers lo < hi with "
+                             f"lo {'>' if lo_positive else '>='} 0, got {lohi}")
+    return float(lohi[0]), float(lohi[1])
+
+
+def _mixture_concentration(cfg: dict, out: Path) -> int:
+    """Product and pooled influence-weight posteriors of the two-module
+    mixture along a ladder of calibration sizes J: writes mean, mode and sd
+    per (loss, J), and prints the product loss's sd slope in log J and the
+    sup distance of the pooled posterior at the largest J from its
+    non-concentrating limit."""
+    from scipy.stats import norm
+
+    ladder = sorted(_ladder(cfg, least=2))     # the slope needs two sizes
+    t0, seed = time.time(), cfg["seed"]
+    truth = MixtureTruth(lambda_star=cfg["lambda_star"])
+    stats = mix_oracle.MixtureStats.from_data(
+        datasets.simulate_mixture(truth, cfg["n1"], cfg["n2"], seed))
+    rng = np.random.default_rng(seed + 1)
+    pool = datasets.simulate_mixture(truth, ladder[-1], 0,
+                                     int(rng.integers(2 ** 31))).x1.points
+    grid = hypercal.SGrid.regular([(0.0, 1.0)], ["gamma"], cfg["grid_points"])
+    rows, product = [], {}
+    for loss in ("product", "pooled"):
+        for J in ladder:
+            gp = mix_oracle.mixture_grid_posterior(loss, stats, pool[:J], grid)
+            est = hypercal.compute_estimator_set(gp)
+            rows.append(f"{loss},{J},{est.mean.gamma:.6g},"
+                        f"{est.mode.gamma:.6g},{float(gp.sd()[0]):.6g}\n")
+            if loss == "product":
+                product[J] = gp
+    phibar = float(np.mean(pool))
+
+    def pooled_limit_log_density(g):
+        mu, var = mix_oracle.mixture_gamma_smi(stats,
+                                               np.asarray(g, dtype=float))
+        return norm.logpdf(phibar, loc=mu, scale=np.sqrt(var))
+
+    # gp is the pooled posterior at the largest J
+    report = evaluation.concentration_diagnostics(
+        product, pooled_reference=(gp, pooled_limit_log_density))
+    with open(out / "mixture.csv", "w") as fh:
+        fh.write("loss,J,mean,mode,sd\n")
+        fh.writelines(rows)
+    print(f"wrote {out / 'mixture.csv'} ({time.time() - t0:.0f}s)",
+          file=sys.stderr)
+    print(f"product-loss sd slope in log J: {report.slope:.4f} "
+          "(1/sqrt(J) concentration gives -0.5)")
+    print(f"pooled posterior vs non-concentrating limit, sup distance: "
+          f"{report.sup_distance:.4f}")
+    return EXIT_OK
+
+
+def _nested_check(cfg: dict, out: Path) -> int:
+    """The (eta, b) posterior of the state-space example built two ways,
+    the splined lattice and the nested sampler, for each calibration size
+    J: writes both, and prints the two-sample KS distance per axis."""
+    from scipy.stats import ks_2samp
+
+    ladder = _ladder(cfg, least=1)
+    bounds = [_bounds(cfg, "eta_bounds", lo_positive=False),
+              _bounds(cfg, "b_bounds", lo_positive=True)]
+    seed = cfg["seed"]
+    truth = SsmTruth(phi_M_star=cfg["phi_M_star"])
+    train = datasets.simulate_ssm(truth, cfg["n_train_blocks"], cfg["d_x"],
+                                  seed)
+    pool = datasets.simulate_ssm(truth, max(ladder), cfg["d_x"], seed + 1)
+    grid = hypercal.SGrid.regular(bounds, ["eta", "b"], cfg["grid_points"])
+    for J in ladder:
+        t0 = time.time()
+        calib = pool.subset(np.arange(J))
+        gp = ssm.ssm_eta_b_grid_posterior(train, calib, truth, grid,
+                                          seed=seed + 10 + J)
+        gsamp = gp.sample(6000, seed=seed + 20 + J)
+        nd, acc = ssm.ssm_eta_b_nested_draws(
+            train, calib, truth, bounds, n_outer=cfg["n_outer"],
+            inner_len=cfg["inner_len"], seed=seed + 30 + J)
+        np.savetxt(out / f"nested_J{J}.csv", nd, delimiter=",",
+                   header="eta,b", comments="")
+        gp.export_csv(out / f"grid_J{J}.csv")
+        print(f"J={J} ({time.time() - t0:.0f}s, outer accept {acc:.2f}):",
+              file=sys.stderr)
+        for ax, name in enumerate(("eta", "b")):
+            ks = ks_2samp(nd[:, ax], gsamp[:, ax]).statistic
+            print(f"  {name}: KS distance {ks:.4f} "
+                  f"(nested mean {nd[:, ax].mean():.3f}, "
+                  f"grid mean {gsamp[:, ax].mean():.3f})")
     return EXIT_OK
 
 
@@ -324,7 +462,8 @@ def main(argv=None) -> int:
                      ("risk-ratio", cmd_risk_ratio)]:
         sub.add_parser(name, parents=[common]).set_defaults(func=fn)
     p = sub.add_parser("study", parents=[common, fast])
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int,
+                   help="worker processes for study ssm (default 1)")
     p.set_defaults(func=cmd_study)
     p = sub.add_parser("oracle-check", parents=[common, fast])
     p.add_argument("suite", nargs="?", default=None,

@@ -260,6 +260,8 @@ def ssm_eta_b_nested_draws(train: SsmDataset, calib: SsmDataset,
     from .hypercal import nested_mcmc
     from .sampling import rwm_batch
 
+    if inner_len < 1:
+        raise ParameterError(f"inner_len must be >= 1, got {inner_len}")
     target = SsmJointTarget(train, truth)
     r = anchor_residuals(calib)
 

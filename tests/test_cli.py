@@ -52,13 +52,17 @@ def test_unknown_config_key_rejected(tmp_path):
     ("simulate", {"kind": "mixture", "n_total_blocks": 7,
                   "risk_method": "exact"}),
     ("simulate", {"kind": "ssm", "n_total_blocks": 7}),
-    # keys of another command
-    ("study", {"kind": "ssm"}),
+    # keys of another command, or of another study kind
+    ("study", {"kind": "ssm", "J_ladder": [10, 20]}),
     ("risk-ratio", {"grid_points": 9}),
     ("oracle-check", {"suite": "conjugate", "table_n_rep": 10}),
     # keys nothing reads
     ("calibrate", {"kind": "ssm", "b_upper": 2.0}),
     ("calibrate", {"kind": "mixture", "prior": "flat"}),
+    # keys of another study kind, and test sets exact risk never draws
+    ("study", {"kind": "nested-check", "n1": 5}),
+    ("study", {"kind": "mixture-concentration", "n_outer": 250}),
+    ("study", {"risk_method": "exact", "n_test_sets": 99}),
 ])
 def test_config_key_not_read_by_command_and_kind_rejected(tmp_path, command,
                                                            cfg):
@@ -92,11 +96,24 @@ def test_every_key_a_branch_reads_is_accepted(tmp_path, capsys):
         ("calibrate", {"kind": "mixture", "family": "gamma", "loss": "product",
                        "n1": 30, "n2": 60, "J": 1000, "grid_points": 41,
                        "lambda_star": 0.9, "eta_upper": 1.0}),
-        ("study", {"phi_M_star": 0.5, "n_total_blocks": 20,
+        ("study", {"kind": "ssm", "phi_M_star": 0.5, "n_total_blocks": 20,
                    "n_train_blocks": 5, "d_x": 6, "n_replicates": 2,
                    "n_test_sets": 2, "test_blocks": 20, "eta_upper": 1.0,
                    "grid_points": 9, "loss": "product",
-                   "risk_method": "exact"}),
+                   "risk_method": "simulate"}),
+        # exact risk draws no test set, so it neither reads nor records
+        # n_test_sets
+        ("study", {"kind": "ssm", "phi_M_star": 0.5, "n_total_blocks": 20,
+                   "n_train_blocks": 5, "d_x": 6, "n_replicates": 2,
+                   "test_blocks": 20, "eta_upper": 1.0, "grid_points": 9,
+                   "loss": "product", "risk_method": "exact"}),
+        ("study", {"kind": "mixture-concentration", "n1": 20, "n2": 500,
+                   "lambda_star": 0.8, "J_ladder": [50, 200],
+                   "grid_points": 21}),
+        ("study", {"kind": "nested-check", "n_train_blocks": 5, "d_x": 4,
+                   "phi_M_star": 0.5, "J_ladder": [5, 10],
+                   "eta_bounds": [0.1, 2.0], "b_bounds": [0.5, 1.5],
+                   "grid_points": 5, "n_outer": 300, "inner_len": 3}),
         ("risk-ratio", {"phi_M_star": 0.5, "n_total_blocks": 10, "d_x": 6,
                         "test_blocks": 20, "n_test_sets": 3, "eta1": 0.5,
                         "eta2": 1.0}),
@@ -123,6 +140,27 @@ def test_flag_not_read_by_command_rejected(tmp_path, argv):
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,cfg,flag", [
+    (["oracle-check", "conjugate", "--fast"], {}, "--fast"),
+    (["oracle-check", "mixture", "--fast"], {}, "--fast"),
+    (["oracle-check", "laplace-aghq", "--fast"], {}, "--fast"),
+    (["study", "--fast"], {"kind": "mixture-concentration"}, "--fast"),
+    (["study", "--jobs", "2"], {"kind": "nested-check"}, "--jobs"),
+    (["study", "--jobs", "1"], {"kind": "mixture-concentration"}, "--jobs"),
+])
+def test_flag_that_changes_nothing_rejected(tmp_path, capsys, argv, cfg, flag):
+    """--fast exits 2 for a kind or suite without a (full, fast) pair, and
+    --jobs for a study kind that runs no replicates; nothing is written,
+    and --dry-run exits 2 too."""
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--dry-run"]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("command,cfg,flags", [
@@ -156,6 +194,23 @@ def test_flag_not_read_by_command_rejected(tmp_path, argv):
     ("study", {"test_blocks": 0, "n_replicates": 1, "n_test_sets": 1}, []),
     ("study", {"n_replicates": 1, "n_test_sets": 1}, ["--jobs", "0"]),
     ("study", {"n_replicates": 1, "n_test_sets": 1}, ["--jobs", "-4"]),
+    # J ladders: distinct ints >= 1, two or more for the concentration slope
+    ("study", {"kind": "mixture-concentration", "J_ladder": [-5, 100]}, []),
+    ("study", {"kind": "mixture-concentration", "J_ladder": ["a", 100]}, []),
+    ("study", {"kind": "mixture-concentration", "J_ladder": []}, []),
+    ("study", {"kind": "mixture-concentration", "J_ladder": [100]}, []),
+    ("study", {"kind": "mixture-concentration", "J_ladder": [100, 100]}, []),
+    ("study", {"kind": "mixture-concentration", "J_ladder": [True, 100]}, []),
+    ("study", {"kind": "nested-check", "J_ladder": []}, []),
+    ("study", {"kind": "nested-check", "J_ladder": [0]}, []),
+    # (eta, b) bounds: two finite numbers lo < hi, eta >= 0 and b > 0
+    ("study", {"kind": "nested-check", "eta_bounds": [1.0]}, []),
+    ("study", {"kind": "nested-check", "eta_bounds": [-0.5, 1.0]}, []),
+    ("study", {"kind": "nested-check", "b_bounds": [0.0, 1.0]}, []),
+    ("study", {"kind": "nested-check", "b_bounds": [1.0, 0.5]}, []),
+    ("study", {"kind": "nested-check", "eta_bounds": [0.1, float("inf")]},
+     []),
+    ("study", {"kind": "nested-check", "b_bounds": [0.5, "1"]}, []),
 ])
 def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
     """A value must fit the type of its key's default (an int is a float, a
@@ -268,14 +323,32 @@ def test_study_fast(tmp_path):
     assert len(summary) == 1 + 2                # vs plain Bayes and vs cut
 
 
-def test_study_fast_dry_run_resolves_sizes(capsys):
+def test_study_fast_dry_run_resolves_sizes(tmp_path, capsys):
+    """--fast picks the fast member of each (full, fast) pair of the kind:
+    the replicate and test-set counts of ssm (exact risk resolves no
+    test-set count), and the J ladder, outer chain and side-chain length
+    of nested-check."""
+    ssm_sizes = {"seed": 0, "kind": "ssm", "n_replicates": 20,
+                 "phi_M_star": 1.0, "n_total_blocks": 60, "d_x": 6,
+                 "n_train_blocks": 10, "test_blocks": 100, "eta_upper": 1.0,
+                 "grid_points": 41, "loss": "product"}
     assert main(["study", "--fast", "--dry-run"]) == EXIT_OK
-    echoed = json.loads(capsys.readouterr().out)
-    assert echoed == {"seed": 0, "n_replicates": 20, "n_test_sets": 10,
-                      "phi_M_star": 1.0, "n_total_blocks": 60, "d_x": 6,
-                      "n_train_blocks": 10, "test_blocks": 100,
-                      "eta_upper": 1.0, "grid_points": 41,
-                      "loss": "product", "risk_method": "simulate"}
+    assert json.loads(capsys.readouterr().out) == dict(
+        ssm_sizes, n_test_sets=10, risk_method="simulate")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"risk_method": "exact"}))
+    assert main(["study", "--config", str(path), "--fast",
+                 "--dry-run"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == dict(
+        ssm_sizes, risk_method="exact")
+    path.write_text(json.dumps({"kind": "nested-check"}))
+    assert main(["study", "--config", str(path), "--fast",
+                 "--dry-run"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "seed": 0, "kind": "nested-check", "n_train_blocks": 10, "d_x": 6,
+        "phi_M_star": 0.7, "J_ladder": [10], "eta_bounds": [0.05, 1.0],
+        "b_bounds": [0.25, 1.0], "grid_points": 9, "n_outer": 250,
+        "inner_len": 5}
 
 
 def test_study_replays_from_resolved_config(tmp_path):
@@ -293,6 +366,76 @@ def test_study_replays_from_resolved_config(tmp_path):
                  "--out", str(replay)]) == EXIT_OK
     assert ((first / "study.jsonl").read_bytes()
             == (replay / "study.jsonl").read_bytes())
+
+
+def test_study_config_without_kind_replays(tmp_path):
+    """A resolved simulated-risk config written before study had kinds (no
+    kind key) still runs as kind ssm, and writes the study.jsonl that the
+    library writes for the same SsmStudyConfig; its re-resolved config,
+    which gains kind ssm, replays it byte for byte."""
+    old = {"command": "study", "seed": 2, "phi_M_star": 0.7,
+           "n_total_blocks": 20, "d_x": 6, "n_train_blocks": 5,
+           "n_replicates": 2, "n_test_sets": 2, "test_blocks": 20,
+           "eta_upper": 1.0, "grid_points": 9, "loss": "product",
+           "risk_method": "simulate"}
+    path = tmp_path / "study_config.json"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True))
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["study", "--config", str(path), "--out", str(first)]) == EXIT_OK
+    resolved = first / "study_config.json"
+    assert json.loads(resolved.read_text()) == dict(old, kind="ssm")
+    assert main(["study", "--config", str(resolved), "--out",
+                 str(replay)]) == EXIT_OK
+    evaluation.ssm_replicate_study(evaluation.SsmStudyConfig(
+        truth=SsmTruth(phi_M_star=0.7), n_total_blocks=20, n_train_blocks=5,
+        n_replicates=2, n_test_sets=2, test_blocks=20, grid_points=9,
+        seed=2)).write_jsonl(tmp_path / "library.jsonl")
+    want = (tmp_path / "library.jsonl").read_bytes()
+    assert (first / "study.jsonl").read_bytes() == want
+    assert (replay / "study.jsonl").read_bytes() == want
+
+
+def _replays_byte_for_byte(first, replay):
+    """Rerun the study resolved in first from its config alone, into
+    replay, and compare every file."""
+    assert main(["study", "--config", str(first / "study_config.json"),
+                 "--out", str(replay)]) == EXIT_OK
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in replay.iterdir()) == names
+    for name in names:
+        assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_study_mixture_concentration(tmp_path, capsys):
+    path, first = tmp_path / "cfg.json", tmp_path / "first"
+    path.write_text(json.dumps({"kind": "mixture-concentration",
+                                "J_ladder": [100, 1000]}))
+    assert main(["study", "--config", str(path), "--out", str(first)]) == EXIT_OK
+    lines = (first / "mixture.csv").read_text().splitlines()
+    assert lines[0] == "loss,J,mean,mode,sd"
+    assert len(lines) == 1 + 2 * 2              # both losses at both J
+    printed = capsys.readouterr().out
+    assert "sd slope in log J" in printed
+    _replays_byte_for_byte(first, tmp_path / "replay")
+    assert capsys.readouterr().out == printed
+
+
+def test_study_nested_check(tmp_path, capsys):
+    """The fast budget (J = 10, 250 outer steps, side chains of 5) is
+    recorded, so the replay needs no --fast."""
+    path, first = tmp_path / "cfg.json", tmp_path / "first"
+    path.write_text(json.dumps({"kind": "nested-check"}))
+    assert main(["study", "--config", str(path), "--out", str(first),
+                 "--fast"]) == EXIT_OK
+    assert sorted(p.name for p in first.iterdir()) == [
+        "grid_J10.csv", "nested_J10.csv", "study_config.json"]
+    draws = (first / "nested_J10.csv").read_text().splitlines()
+    assert draws[0] == "eta,b"
+    assert len(draws) > 1
+    printed = capsys.readouterr().out
+    assert "KS distance" in printed
+    _replays_byte_for_byte(first, tmp_path / "replay")
+    assert capsys.readouterr().out == printed
 
 
 def test_risk_ratio_command(tmp_path):
@@ -357,7 +500,7 @@ _SSM_DATA = {"phi_M_star": 1.0, "n_total_blocks": 60, "d_x": 6}
      ["posterior.csv", "estimators.json"]),
     ("study", {"n_total_blocks": 20, "n_train_blocks": 5, "n_replicates": 2,
                "n_test_sets": 2, "test_blocks": 20, "grid_points": 9},
-     {**_SSM_DATA, "n_total_blocks": 20, "n_train_blocks": 5,
+     {**_SSM_DATA, "kind": "ssm", "n_total_blocks": 20, "n_train_blocks": 5,
       "n_replicates": 2, "n_test_sets": 2, "test_blocks": 20,
       "eta_upper": 1.0, "grid_points": 9, "loss": "product",
       "risk_method": "simulate"},
@@ -412,11 +555,13 @@ def test_cli_runs_without_scipy_stats(tmp_path):
         study = {{"n_total_blocks": 20, "n_train_blocks": 5,
                   "n_replicates": 1, "n_test_sets": 2, "test_blocks": 10,
                   "grid_points": 9}}
+        exact = dict(study, risk_method="exact")
+        del exact["n_test_sets"]                # exact risk draws no test set
         runs = [("calibrate", {{"kind": "ssm", "n_total_blocks": 15,
                                 "n_train_blocks": 5, "grid_points": 9}}),
                 ("calibrate", {{"kind": "mixture", "J": 100}}),
                 ("study", study),
-                ("study", {{**study, "risk_method": "exact"}}),
+                ("study", exact),
                 ("risk-ratio", {{"n_total_blocks": 20, "test_blocks": 10,
                                  "n_test_sets": 2}}),
                 ("simulate", {{"kind": "mixture"}}),

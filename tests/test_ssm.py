@@ -273,13 +273,17 @@ def test_eta_b_nested_draws_smoke():
 
 
 def test_eta_b_nested_draws_rejects_short_outer_chain():
-    """Fewer outer steps than the burn-in is a parameter error, not a
-    numpy shape error."""
+    """Fewer outer steps than the burn-in, or side-chain refreshes of no
+    step, are a parameter error, not a numpy shape error or a division by
+    zero."""
     train, truth = small_data(n_blocks=4, seed=23)
     calib, _ = small_data(n_blocks=3, seed=24)
     with pytest.raises(ParameterError, match="burn_in"):
         ssm_eta_b_nested_draws(train, calib, truth, [(0.1, 1.0), (0.3, 1.0)],
                                n_outer=150, inner_len=2, seed=25)
+    with pytest.raises(ParameterError, match="inner_len"):
+        ssm_eta_b_nested_draws(train, calib, truth, [(0.1, 1.0), (0.3, 1.0)],
+                               n_outer=250, inner_len=0, seed=25)
 
 
 def test_joint_target_matches_marginal_posterior():
