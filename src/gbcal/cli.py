@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -309,6 +310,12 @@ def _nested_check(cfg: dict, out: Path) -> int:
     ladder = _ladder(cfg, least=1)
     bounds = [_bounds(cfg, "eta_bounds", lo_positive=False),
               _bounds(cfg, "b_bounds", lo_positive=True)]
+    # the sampler's own checks would come only after the first lattice
+    burn_in = hypercal.NESTED_BURN_IN
+    if cfg["n_outer"] <= burn_in or cfg["inner_len"] < 1:
+        raise ParameterError(f"n_outer must exceed the burn-in of {burn_in} "
+                             f"and inner_len must be >= 1, got "
+                             f"{cfg['n_outer']} and {cfg['inner_len']}")
     seed = cfg["seed"]
     truth = SsmTruth(phi_M_star=cfg["phi_M_star"])
     train = datasets.simulate_ssm(truth, cfg["n_train_blocks"], cfg["d_x"],
@@ -440,7 +447,11 @@ def cmd_oracle_check(cfg: dict, out: Path | None, args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every
+    call in the process; it holds no per-call state, since parse_args
+    returns a fresh Namespace each time."""
     parser = argparse.ArgumentParser(prog="gbcal",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -469,8 +480,11 @@ def main(argv=None) -> int:
     p.add_argument("suite", nargs="?", default=None,
                    choices=["conjugate", "mixture", "laplace-aghq", "table-f1"])
     p.set_defaults(func=cmd_oracle_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         if args.dry_run:

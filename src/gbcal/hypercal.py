@@ -6,18 +6,20 @@ of pointwise densities), splined and normalized into a density.  A 1-d
 lattice is splined by the natural cubic interpolant below, which gives the
 same bits as scipy's CubicSpline without importing scipy.interpolate (and
 with it scipy.optimize and scipy.linalg); the 2-d lattice and the
-minimum-KL smoothing spline use scipy, imported when they are called.  A
-nested Metropolis sampler provides an off-lattice alternative.  Four point
-estimators summarize a lattice posterior: mean, mode, harmonic mean and
-minimum-KL; the harmonic mean and minimum-KL summaries are 1-d only.
+minimum-KL smoothing spline use scipy, imported when they are called.  The
+spline is evaluated on a fine grid once per posterior, when it is built:
+those values give both the normalizer and the density that every summary
+reads.  A nested Metropolis sampler provides an off-lattice alternative.
+Four point estimators summarize a lattice posterior: mean, mode, harmonic
+mean and minimum-KL; the harmonic mean and minimum-KL summaries are 1-d
+only.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +30,7 @@ _FINE_1D = 4001
 _FINE_2D = 301
 _TIE_TOL = 1e-9         # relative density gap below which modes tie
 _KL_CANDIDATES = 41     # candidate values scored by kl_estimator
+NESTED_BURN_IN = 200    # adaptive outer steps that nested_mcmc drops
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,9 @@ class GridPosterior:
     _spline: object = field(repr=False, default=None)
     _log_norm: float = field(repr=False, default=0.0)
     _center: float = field(repr=False, default=0.0)  # subtracted before the spline
+    # (axes, density) on the fine grid, read-only because every caller
+    # shares them
+    _fine_density: tuple = field(repr=False, default=None)
 
     @property
     def bounds(self):
@@ -184,29 +190,8 @@ class GridPosterior:
         x, y = (np.asarray(c, dtype=float) for c in coords)
         return self._spline(x, y, grid=False) - self._log_norm
 
-    def _fine_axes(self):
-        n = _FINE_1D if self.grid.ndim == 1 else _FINE_2D
-        return tuple(np.linspace(a[0], a[-1], n) for a in self.grid.axes)
-
-    @functools.cached_property
-    def _fine_density(self):
-        """(axes, density) on the fine grid, evaluated once per instance;
-        the arrays are read-only because every caller shares them."""
-        axes = self._fine_axes()
-        if self.grid.ndim == 1:
-            dens = np.exp(self.log_density(axes[0]))
-        else:
-            dens = np.exp(self._spline(*axes) - self._log_norm)
-        for a in (*axes, dens):
-            a.flags.writeable = False
-        return axes, dens
-
     def normalization_check(self) -> float:
-        axes, dens = self._fine_density
-        total = dens
-        for ax in reversed(axes):
-            total = np.trapezoid(total, ax, axis=-1)
-        return float(total)
+        return _fine_integral(*self._fine_density)
 
     def marginal(self, axis: int = 0):
         """(grid, density) of the 1-d marginal along the chosen axis."""
@@ -300,9 +285,24 @@ def grid_posterior_from_values(grid: SGrid, log_pred: np.ndarray,
         from scipy.interpolate import RectBivariateSpline
         spline = RectBivariateSpline(grid.axes[0], grid.axes[1], log_post,
                                      kx=3, ky=3, s=0)
-    gp = GridPosterior(grid=grid, log_pred=log_pred, log_prior=log_prior + 0.0,
-                       _spline=spline, _center=center)
-    return replace(gp, _log_norm=float(np.log(gp.normalization_check())))
+    n = _FINE_1D if grid.ndim == 1 else _FINE_2D
+    axes = tuple(np.linspace(a[0], a[-1], n) for a in grid.axes)
+    values = spline(*axes)
+    log_norm = float(np.log(_fine_integral(axes, np.exp(values))))
+    dens = np.exp(values - log_norm)
+    for a in (*axes, dens):
+        a.flags.writeable = False
+    return GridPosterior(grid=grid, log_pred=log_pred, log_prior=log_prior + 0.0,
+                         _spline=spline, _log_norm=log_norm, _center=center,
+                         _fine_density=(axes, dens))
+
+
+def _fine_integral(axes: tuple, dens: np.ndarray) -> float:
+    """Trapezoid integral of a density over the fine grid."""
+    total = dens
+    for ax in reversed(axes):
+        total = np.trapezoid(total, ax, axis=-1)
+    return float(total)
 
 
 # --- nested MCMC ----------------------------------------------------------
@@ -326,10 +326,10 @@ def nested_mcmc(bounds, state0, inner_refresh, log_calib, n_outer: int,
     each outer step a new s is proposed, inner_refresh(s', state, seed)
     advances the side chains under the proposed s, and the move is accepted
     with the calibration-density ratio of the refreshed versus current
-    draws.  The first 200 steps adapt the scale and are dropped.  Returns
-    (s_draws, accept_rate).
+    draws.  The first NESTED_BURN_IN steps adapt the scale and are dropped.
+    Returns (s_draws, accept_rate).
     """
-    burn_in = 200
+    burn_in = NESTED_BURN_IN
     if n_outer <= burn_in:
         raise ParameterError(f"n_outer ({n_outer}) must exceed burn_in "
                              f"({burn_in})")

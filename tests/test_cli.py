@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbcal import datasets, evaluation, ssm
+from gbcal import cli, datasets, evaluation, ssm
 from gbcal.cli import EXIT_CONFIG, EXIT_OK, main
 from gbcal.datasets import SsmTruth, read_modular_csv, read_ssm_csv
 
@@ -247,6 +247,38 @@ def test_dry_run_prints_config_without_outputs(tmp_path, capsys):
     assert not (tmp_path / "sub" / "mixture.csv").exists()
 
 
+def _echo_and_exit(argv, capsys):
+    """(exit code, stdout, stderr) of one call; an argparse error exits
+    through SystemExit."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+@pytest.mark.parametrize("first,second", [
+    (["study", "--fast", "--dry-run"], ["study", "--dry-run"]),
+    (["calibrate", "--seed", "5", "--dry-run"], ["calibrate", "--dry-run"]),
+    (["calibrate", "--jobs", "2"], ["calibrate", "--dry-run"]),
+])
+def test_parser_built_once_and_keeps_no_state_between_calls(capsys, first,
+                                                           second):
+    """Every call in a process shares one parser, and each call echoes and
+    exits exactly as it does alone, on a freshly built parser."""
+    alone = []
+    for argv in (first, second):
+        cli._parser.cache_clear()
+        alone.append(_echo_and_exit(argv, capsys))
+    cli._parser.cache_clear()
+    together = [_echo_and_exit(argv, capsys) for argv in (first, second)]
+    assert together == alone
+    assert cli._parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in alone] == [
+        EXIT_CONFIG if "--jobs" in first else EXIT_OK, EXIT_OK]
+
+
 def test_config_seed_used_unless_flag_given(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5}))
@@ -436,6 +468,24 @@ def test_study_nested_check(tmp_path, capsys):
     assert "KS distance" in printed
     _replays_byte_for_byte(first, tmp_path / "replay")
     assert capsys.readouterr().out == printed
+
+
+@pytest.mark.parametrize("budget", [{"n_outer": 0}, {"n_outer": 200},
+                                    {"inner_len": 0}])
+def test_study_nested_check_budget_rejected_before_lattice(tmp_path,
+                                                          monkeypatch, budget):
+    """An outer chain no longer than the sampler's burn-in, or side chains
+    of no steps, exit 2 before the first (eta, b) lattice is built."""
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice ran")
+
+    monkeypatch.setattr(ssm, "ssm_eta_b_grid_posterior", no_lattice)
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps({"kind": "nested-check", "J_ladder": [3],
+                                **budget}))
+    assert main(["study", "--config", str(path), "--out",
+                 str(out)]) == EXIT_CONFIG
+    assert [p.name for p in out.iterdir()] == ["study_config.json"]
 
 
 def test_risk_ratio_command(tmp_path):

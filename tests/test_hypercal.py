@@ -4,7 +4,8 @@ from scipy import stats
 from scipy.special import gammaln
 
 from gbcal.datasets import ParameterError, SsmTruth, simulate_ssm
-from gbcal.hypercal import (SGrid, _gtsv, _NaturalCubicSpline,
+from gbcal.hypercal import (_FINE_1D, _FINE_2D, SGrid, _gtsv,
+                            _NaturalCubicSpline,
                             compute_estimator_set, estimate_posterior_mode,
                             grid_posterior_from_values,
                             harmonic_mean_estimator, kl_estimator, nested_mcmc,
@@ -85,9 +86,20 @@ def test_grid_posterior_2d_normalizes():
     assert mode.b == pytest.approx(1.2, abs=5e-3)
 
 
-def test_fine_density_cached_once_and_equal_to_fresh_evaluation():
-    """The fine-grid density is evaluated once per posterior, read-only,
-    and equal to evaluating the spline afresh."""
+def test_fine_density_cached_once_and_equal_to_fresh_evaluation(monkeypatch):
+    """The spline is evaluated on the fine grid once per posterior, when it
+    is built, for the 1-d and the 2-d lattice, however many summaries read
+    the density; the density is read-only and equal to evaluating the
+    spline afresh."""
+    from scipy.interpolate import RectBivariateSpline
+
+    fine_calls = []
+    for cls in (_NaturalCubicSpline, RectBivariateSpline):
+        def counted(self, *args, _cls=cls, _call=cls.__call__, **kwargs):
+            if np.size(args[0]) in (_FINE_1D, _FINE_2D):
+                fine_calls.append(_cls)
+            return _call(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__call__", counted)
     gp1 = gaussian_grid_posterior()
     grid = SGrid.regular([(0.0, 1.0), (0.5, 2.0)], ["eta", "b"], 21)
     pts = grid.points()
@@ -95,14 +107,16 @@ def test_fine_density_cached_once_and_equal_to_fresh_evaluation():
           - 0.5 * (pts[:, 1] - 1.2) ** 2 / 0.09)
     gp2 = grid_posterior_from_values(grid, lp, np.zeros(len(pts)))
     for gp in (gp1, gp2):
+        gp.normalization_check(), gp.sd(), gp.sample(10, seed=0)
+        compute_estimator_set(gp)
+    assert fine_calls == [_NaturalCubicSpline, RectBivariateSpline]
+    for gp in (gp1, gp2):
         axes, dens = gp._fine_density
         assert gp._fine_density[1] is dens
         assert not dens.flags.writeable
-        fresh_axes = gp._fine_axes()
-        if gp.grid.ndim == 1:
-            fresh = np.exp(gp.log_density(fresh_axes[0]))
-        else:
-            fresh = np.exp(gp._spline(*fresh_axes) - gp._log_norm)
+        n = _FINE_1D if gp.grid.ndim == 1 else _FINE_2D
+        fresh_axes = [np.linspace(a[0], a[-1], n) for a in gp.grid.axes]
+        fresh = np.exp(gp._spline(*fresh_axes) - gp._log_norm)
         assert all(np.array_equal(a, b) for a, b in zip(axes, fresh_axes))
         assert np.array_equal(dens, fresh)
     # the normalized posterior does not reuse the un-normalized one's values
