@@ -11,6 +11,8 @@ the (eta, b) lattice (nested-check).  --fast and --jobs exit 2 where they
 would change nothing.
 
 Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 runtime error.
+A config error is a ParameterError, raised while the config is resolved or
+where a value is checked; main prints it and returns 2.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ def _load_config(args) -> dict:
     config written by another command, an unknown kind, --fast for a kind
     without such a pair, --jobs for a study kind other than ssm, a key the
     command and kind do not read (n_test_sets under exact risk), a value
-    whose type does not fit its key's default and a negative seed are
-    rejected; no value is coerced."""
+    whose type does not fit its key's default and a negative seed raise a
+    ParameterError; no value is coerced."""
     cfg = {}
     name = args.command.replace("-", "_")
     if args.config:
@@ -94,13 +96,13 @@ def _load_config(args) -> dict:
             with open(args.config) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(_fail(EXIT_CONFIG, f"cannot read config: {exc}"))
+            raise ParameterError(f"cannot read config: {exc}") from None
         if not isinstance(cfg, dict):
-            raise SystemExit(_fail(EXIT_CONFIG, "config must be a JSON object"))
+            raise ParameterError("config must be a JSON object")
         written_for = cfg.pop("command", name)
         if written_for != name:
-            raise SystemExit(_fail(EXIT_CONFIG, f"config was resolved for "
-                                   f"{written_for!r}, not {name!r}"))
+            raise ParameterError(f"config was resolved for {written_for!r}, "
+                                 f"not {name!r}")
     for key in ("seed", "suite"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
@@ -109,32 +111,30 @@ def _load_config(args) -> dict:
     try:
         keys = kinds[kind]
     except (KeyError, TypeError):
-        raise SystemExit(_fail(EXIT_CONFIG, f"unknown {args.command} "
-                               f"{kind_key} {kind!r}")) from None
+        raise ParameterError(f"unknown {args.command} {kind_key} "
+                             f"{kind!r}") from None
     what = f"{args.command} {kind}" if kind_key else args.command
     if args.fast and not any(isinstance(v, tuple) for v in keys.values()):
-        raise SystemExit(_fail(EXIT_CONFIG, f"--fast changes nothing for "
-                               f"{what}"))
+        raise ParameterError(f"--fast changes nothing for {what}")
     if getattr(args, "jobs", None) is not None and kind != "ssm":
-        raise SystemExit(_fail(EXIT_CONFIG, f"--jobs is not read by {what}"))
+        raise ParameterError(f"--jobs is not read by {what}")
     if cfg.get("risk_method") == "exact":    # which draws no test set
         keys = {k: v for k, v in keys.items() if k != "n_test_sets"}
         what += " under exact risk"
     unknown = set(cfg) - set(keys) - {"seed", kind_key}
     if unknown:
-        raise SystemExit(_fail(EXIT_CONFIG, f"config keys not read by "
-                               f"{what}: {sorted(unknown)}"))
+        raise ParameterError(f"config keys not read by {what}: "
+                             f"{sorted(unknown)}")
     defaults = {"seed": 0, **{k: v[args.fast] if isinstance(v, tuple) else v
                               for k, v in keys.items()}}
     for key, value in cfg.items():
         want = type(defaults.get(key, kind))   # the kind key: a known kind
         if isinstance(value, bool) or not isinstance(
                 value, (int, float) if want is float else want):
-            raise SystemExit(_fail(EXIT_CONFIG, f"{key} must be of type "
-                                   f"{want.__name__}, got {value!r}"))
+            raise ParameterError(f"{key} must be of type {want.__name__}, "
+                                 f"got {value!r}")
     if cfg.get("seed", 0) < 0:
-        raise SystemExit(_fail(EXIT_CONFIG, f"seed must be non-negative, "
-                               f"got {cfg['seed']}"))
+        raise ParameterError(f"seed must be non-negative, got {cfg['seed']}")
     if kind_key:
         cfg[kind_key] = kind
     return {**defaults, **cfg}
@@ -148,14 +148,19 @@ def _fail(code: int, msg: str) -> int:
 def _write_resolved(cfg: dict, args) -> Path | None:
     """Write the resolved config as <command>_config.json and return the
     output directory; oracle-check writes files only with --out, and
-    returns None without it."""
+    returns None without it.  An output directory that cannot be made or
+    written (--out names a file, say) is a config error."""
     if args.command == "oracle-check" and not args.out:
         return None
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     name = args.command.replace("-", "_")
-    with open(out / f"{name}_config.json", "w") as fh:
-        json.dump(dict(cfg, command=name), fh, indent=2, sort_keys=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / f"{name}_config.json", "w") as fh:
+            json.dump(dict(cfg, command=name), fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot write to --out {str(out)!r}: "
+                             f"{exc.strerror or exc}") from None
     return out
 
 
@@ -173,10 +178,10 @@ def cmd_simulate(cfg: dict, out: Path, args) -> int:
     else:                                       # conjugate
         data = datasets.simulate_conjugate_normal(cfg["mu_star"], cfg["n"],
                                                   seed)
-        with open(out / "conjugate.csv", "w") as fh:
-            fh.write("block,pos,value,role\n")
-            for i, v in enumerate(data.points):
-                fh.write(f"{i},0,{float(v)!r},x1\n")
+        # one module: the points are x1 and x2 is empty; no meta file
+        datasets.write_modular_csv(
+            out / "conjugate.csv",
+            datasets.ModularDataset(data, datasets.SimpleDataset(np.empty(0))))
     print(f"wrote {kind} dataset to {out}", file=sys.stderr)
     return EXIT_OK
 
@@ -270,15 +275,18 @@ def _mixture_concentration(cfg: dict, out: Path) -> int:
     pool = datasets.simulate_mixture(truth, ladder[-1], 0,
                                      int(rng.integers(2 ** 31))).x1.points
     grid = hypercal.SGrid.regular([(0.0, 1.0)], ["gamma"], cfg["grid_points"])
-    rows, product = [], {}
+    rows, product_sds = [], []
     for loss in ("product", "pooled"):
         for J in ladder:
             gp = mix_oracle.mixture_grid_posterior(loss, stats, pool[:J], grid)
             est = hypercal.compute_estimator_set(gp)
+            sd = float(gp.sd()[0])
             rows.append(f"{loss},{J},{est.mean.gamma:.6g},"
-                        f"{est.mode.gamma:.6g},{float(gp.sd()[0]):.6g}\n")
+                        f"{est.mode.gamma:.6g},{sd:.6g}\n")
             if loss == "product":
-                product[J] = gp
+                product_sds.append(sd)
+    slope = np.polyfit(np.log(np.array(ladder, dtype=float)),
+                       np.log(product_sds), 1)[0]
     phibar = float(np.mean(pool))
 
     def pooled_limit_log_density(g):
@@ -287,17 +295,16 @@ def _mixture_concentration(cfg: dict, out: Path) -> int:
         return norm.logpdf(phibar, loc=mu, scale=np.sqrt(var))
 
     # gp is the pooled posterior at the largest J
-    report = evaluation.concentration_diagnostics(
-        product, pooled_reference=(gp, pooled_limit_log_density))
+    sup = evaluation.pooled_limit_distance(gp, pooled_limit_log_density)
     with open(out / "mixture.csv", "w") as fh:
         fh.write("loss,J,mean,mode,sd\n")
         fh.writelines(rows)
     print(f"wrote {out / 'mixture.csv'} ({time.time() - t0:.0f}s)",
           file=sys.stderr)
-    print(f"product-loss sd slope in log J: {report.slope:.4f} "
+    print(f"product-loss sd slope in log J: {slope:.4f} "
           "(1/sqrt(J) concentration gives -0.5)")
     print(f"pooled posterior vs non-concentrating limit, sup distance: "
-          f"{report.sup_distance:.4f}")
+          f"{sup:.4f}")
     return EXIT_OK
 
 
@@ -491,9 +498,6 @@ def main(argv=None) -> int:
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return EXIT_OK
         return args.func(cfg, _write_resolved(cfg, args), args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_CONFIG
     except ParameterError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     except Exception as exc:  # noqa: BLE001

@@ -107,12 +107,15 @@ class MixtureTruth:
     sigma1_sq: float = 16.0
     sigma2_sq: float = 1.0
     lambda_star: float = 0.9
-    s_theta_sq: float = 0.33 ** 2
 
     def __post_init__(self):
-        for name in ("sigma1_sq", "sigma2_sq", "s_theta_sq"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+        # written so that NaN fails each check
+        if not abs(self.phi_star) + abs(self.theta_star) < np.inf:
+            raise ParameterError("phi_star and theta_star must be finite")
+        for name in ("sigma1_sq", "sigma2_sq"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be finite and positive, "
+                                     f"got {getattr(self, name)}")
         if not 0.0 <= self.lambda_star <= 1.0:
             raise ParameterError(f"lambda_star must be in [0,1], got {self.lambda_star}")
 
@@ -132,8 +135,9 @@ class SsmTruth:
         if not abs(self.nu) < 1:
             raise ParameterError(f"|nu| must be < 1 for stationarity, got {self.nu}")
         for name in ("sigma_ar", "phi_A_star", "phi_M_star", "invgamma_a", "invgamma_b"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:   # NaN fails too
+                raise ParameterError(f"{name} must be finite and positive, "
+                                     f"got {getattr(self, name)}")
 
     @property
     def stationary_var(self) -> float:
@@ -188,6 +192,8 @@ def simulate_ssm(truth: SsmTruth, n_blocks: int, d_x: int, seed: int) -> SsmData
 def simulate_conjugate_normal(mu_star: float, n: int, seed: int) -> SimpleDataset:
     if n < 0:
         raise ParameterError("n must be nonnegative")
+    if not abs(mu_star) < np.inf:                       # NaN fails too
+        raise ParameterError(f"mu_star must be finite, got {mu_star}")
     rng = np.random.default_rng(seed)
     return SimpleDataset(mu_star + rng.standard_normal(n))
 

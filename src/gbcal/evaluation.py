@@ -1,5 +1,5 @@
-"""Test-set evaluation: risk ratios, replicate studies, and concentration
-diagnostics.
+"""Test-set evaluation: risk ratios, replicate studies, and the distance of
+a pooled posterior from its non-concentrating limit.
 """
 
 from __future__ import annotations
@@ -238,34 +238,6 @@ def ssm_replicate_study(config: SsmStudyConfig, jobs: int = 1) -> ReplicateStudy
 
 
 # --- asymptotic diagnostics -----------------------------------------------
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    slope: float
-    sup_distance: float | None
-
-
-def concentration_diagnostics(posteriors_by_J: dict,
-                              pooled_reference=None) -> ConcentrationReport:
-    """Summaries of how posteriors behave along a ladder of calibration sizes.
-
-    posteriors_by_J maps J to a 1-d GridPosterior (product kind for the
-    slope).  pooled_reference, when given, is (gp, log_target_fn) for the
-    non-concentrating pooled check: log_target_fn(s) is the unnormalized log
-    of the limiting density, compared in sup norm after normalization.
-    """
-    Js = np.array(sorted(posteriors_by_J), dtype=float)
-    sds = np.array([posteriors_by_J[int(J)].sd()[0] for J in Js])
-    if len(Js) >= 2:
-        slope = float(np.polyfit(np.log(Js), np.log(sds), 1)[0])
-    else:
-        slope = float("nan")
-    sup = None
-    if pooled_reference is not None:
-        gp, log_target_fn = pooled_reference
-        sup = pooled_limit_distance(gp, log_target_fn)
-    return ConcentrationReport(slope=slope, sup_distance=sup)
-
 
 def pooled_limit_distance(gp: GridPosterior, log_target_fn) -> float:
     """Sup distance between the normalized pooled posterior and the

@@ -37,15 +37,20 @@ _FINE = 101
 _SCALE_INIT = 0.3
 
 
+def _bridge_prior_mean(data: SsmDataset, w_left, w_right) -> np.ndarray:
+    """Prior mean of the interior latents given each block's anchor
+    latents, (n_blocks, k), from ar1_bridge's weights."""
+    return (data.theta_anchor[:, :1] * w_left
+            + data.theta_anchor[:, 1:] * w_right)
+
+
 def _interior_residuals(data: SsmDataset, truth: SsmTruth):
     """Interior emissions minus their prior conditional mean, rotated into
     the eigenbasis of the bridge covariance.  Returns (R, D): residuals
     (n_blocks, k) and the bridge covariance eigenvalues (k,)."""
     w_left, w_right, _, V = ar1_bridge(truth, data.d_x)
     D, U = np.linalg.eigh(V)
-    prior_mean = (data.theta_anchor[:, :1] * w_left
-                  + data.theta_anchor[:, 1:] * w_right)
-    return (data.x_missing - prior_mean) @ U, D
+    return (data.x_missing - _bridge_prior_mean(data, w_left, w_right)) @ U, D
 
 
 def anchor_residuals(y: SsmDataset) -> np.ndarray:
@@ -141,8 +146,12 @@ class SsmPhiPosterior:
 
     @property
     def log_weights(self) -> np.ndarray:
-        """log of (density * trapezoid weight); each row sums to ~1 in
-        probability."""
+        """log of (density * np.gradient(phi2)); each row sums to ~1 in
+        probability.  np.gradient is the trapezoid weight inside but twice
+        it at the two ends, where the normaliser of log_density uses the
+        true trapezoid rule; the end densities are 45 nats or more under the
+        peak (unless the window reaches an end of _COARSE), so the doubled
+        end weights are harmless."""
         return self.log_density + np.log(np.gradient(self.phi2, axis=-1))
 
     def row(self, i: int) -> SsmPhiPosterior:
@@ -310,8 +319,7 @@ class SsmJointTarget:
         if self.k < 1:
             raise ParameterError("need interior positions for the joint target")
         w_left, w_right, self.Q, _ = ar1_bridge(truth, data.d_x)
-        self.prior_mean = (data.theta_anchor[:, :1] * w_left
-                           + data.theta_anchor[:, 1:] * w_right).ravel()
+        self.prior_mean = _bridge_prior_mean(data, w_left, w_right).ravel()
         self.x_M = data.x_missing.ravel()
         self.SA = float(np.sum((data.x_anchor - data.theta_anchor) ** 2))
         self.nA = 2 * data.n_blocks

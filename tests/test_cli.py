@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,18 @@ def test_simulate_ssm(tmp_path):
     assert rc == EXIT_OK
     data = read_ssm_csv(tmp_path / "ssm.csv")
     assert data.n_blocks == 5 and data.d_x == 4
+
+
+def test_simulate_conjugate_reads_back_as_one_module(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "conjugate", "mu_star": 1.5, "n": 7}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                 "--seed", "4"]) == EXIT_OK
+    data = read_modular_csv(tmp_path / "conjugate.csv")
+    want = datasets.simulate_conjugate_normal(1.5, 7, 4).points
+    assert np.array_equal(data.x1.points, want)
+    assert data.x2.n == 0
+    assert not (tmp_path / "conjugate.csv.meta").exists()
 
 
 def test_simulate_deterministic_in_seed(tmp_path):
@@ -211,6 +224,15 @@ def test_flag_that_changes_nothing_rejected(tmp_path, capsys, argv, cfg, flag):
     ("study", {"kind": "nested-check", "eta_bounds": [0.1, float("inf")]},
      []),
     ("study", {"kind": "nested-check", "b_bounds": [0.5, "1"]}, []),
+    # non-finite truth values, rejected before any draw or lattice
+    ("simulate", {"kind": "ssm", "phi_M_star": float("nan")}, []),
+    ("simulate", {"kind": "conjugate", "mu_star": float("nan")}, []),
+    ("simulate", {"kind": "conjugate", "mu_star": float("-inf")}, []),
+    ("risk-ratio", {"phi_M_star": float("nan")}, []),
+    ("calibrate", {"phi_M_star": float("nan")}, []),
+    ("calibrate", {"phi_M_star": float("inf")}, []),
+    ("study", {"phi_M_star": float("nan"), "n_replicates": 1,
+               "n_test_sets": 1}, []),
 ])
 def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
     """A value must fit the type of its key's default (an int is a float, a
@@ -222,6 +244,30 @@ def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
     assert main([command, "--config", str(path), "--out", str(out)]
                 + flags) == EXIT_CONFIG
     assert {p.suffix for p in out.glob("*")} <= {".json"}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_truth_named_before_any_warning(tmp_path, capsys, value):
+    """The error names the key, and no warning comes first: any warning
+    would end the run with exit 3."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"phi_M_star": value}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["calibrate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: phi_M_star must be finite "
+                                       f"and positive, got {value}\n")
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_that_cannot_be_a_directory_rejected(tmp_path, capsys, out):
+    """--out naming a file, or a path under one, is a config error that
+    names the path, and the file is left as it was."""
+    (tmp_path / "taken").write_text("kept")
+    assert main(["simulate", "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert repr(str(tmp_path / out)) in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "kept"
 
 
 def test_malformed_config_rejected(tmp_path):
@@ -439,6 +485,8 @@ def _replays_byte_for_byte(first, replay):
 
 
 def test_study_mixture_concentration(tmp_path, capsys):
+    """The printed slope is the least-squares slope of the product loss's
+    log sd on log J, as written to mixture.csv."""
     path, first = tmp_path / "cfg.json", tmp_path / "first"
     path.write_text(json.dumps({"kind": "mixture-concentration",
                                 "J_ladder": [100, 1000]}))
@@ -448,6 +496,14 @@ def test_study_mixture_concentration(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2              # both losses at both J
     printed = capsys.readouterr().out
     assert "sd slope in log J" in printed
+    product = [row.split(",") for row in lines[1:] if row.startswith("product")]
+    Js = np.array([float(row[1]) for row in product])
+    sds = np.array([float(row[4]) for row in product])
+    fitted = np.polyfit(np.log(Js), np.log(sds), 1)[0]
+    slope = float(printed.split("sd slope in log J:")[1].split()[0])
+    # 4 printed decimals; the 6 significant digits of each sd move the
+    # fitted slope by under 1e-5
+    assert slope == pytest.approx(fitted, abs=5e-5 + 1e-5)
     _replays_byte_for_byte(first, tmp_path / "replay")
     assert capsys.readouterr().out == printed
 

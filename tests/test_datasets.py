@@ -113,6 +113,20 @@ def test_ssm_invalid_params():
         simulate_ssm(SsmTruth(), 3, 1, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_truth_rejected(bad):
+    for name in ("phi_star", "theta_star", "sigma1_sq", "sigma2_sq",
+                 "lambda_star"):
+        with pytest.raises(ParameterError):
+            MixtureTruth(**{name: bad})
+    for name in ("nu", "sigma_ar", "phi_A_star", "phi_M_star", "invgamma_a",
+                 "invgamma_b"):
+        with pytest.raises(ParameterError):
+            SsmTruth(**{name: bad})
+    with pytest.raises(ParameterError):
+        simulate_conjugate_normal(bad, 3, seed=0)
+
+
 def test_simulate_conjugate_normal():
     assert simulate_conjugate_normal(0.0, 0, seed=0).n == 0
     d = simulate_conjugate_normal(0.0, 10 ** 6, seed=4)

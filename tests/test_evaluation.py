@@ -8,8 +8,7 @@ from gbcal.datasets import (ParameterError, SsmTruth, simulate_ssm,
                             split_ssm_blocks)
 from gbcal.evaluation import (SsmStudyConfig, _ssm_eta_posterior,
                               _ssm_exact_block_integrals,
-                              concentration_diagnostics, pooled_limit_distance,
-                              risk_ratio_product,
+                              pooled_limit_distance, risk_ratio_product,
                               run_ssm_replicate, ssm_exact_block_log_ratio,
                               ssm_replicate_study)
 from gbcal.hypercal import SGrid, grid_posterior_from_values
@@ -366,18 +365,11 @@ def make_product_posterior(J, sd0=0.2, center=0.5):
     return grid_posterior_from_values(grid, lp, np.zeros_like(x))
 
 
-def test_concentration_slope_minus_half():
-    posts = {J: make_product_posterior(J) for J in (100, 1000, 10000)}
-    rep = concentration_diagnostics(posts)
-    assert rep.slope == pytest.approx(-0.5, abs=0.02)
-
-
 def test_concentration_pooled_reference_distance():
     gp = make_product_posterior(400, center=0.4)
     sd = 0.2 / np.sqrt(400)
     log_target = lambda s: -0.5 * (np.asarray(s) - 0.4) ** 2 / sd ** 2
-    rep = concentration_diagnostics({400: gp}, pooled_reference=(gp, log_target))
-    assert rep.sup_distance < 1e-6
+    assert pooled_limit_distance(gp, log_target) < 1e-6
     # a wrong reference shows a large distance
     bad = lambda s: -0.5 * (np.asarray(s) - 0.8) ** 2 / sd ** 2
     assert pooled_limit_distance(gp, bad) > 1.0
