@@ -365,6 +365,15 @@ def make_product_posterior(J, sd0=0.2, center=0.5):
     return grid_posterior_from_values(grid, lp, np.zeros_like(x))
 
 
+def test_concentration_slope_minus_half():
+    """The mixture-concentration study's slope arithmetic: least squares of
+    log GridPosterior.sd() on log J over the sorted float ladder."""
+    Js = np.array(sorted((100, 1000, 10000)), dtype=float)
+    sds = [float(make_product_posterior(int(J)).sd()[0]) for J in Js]
+    slope = np.polyfit(np.log(Js), np.log(sds), 1)[0]
+    assert slope == pytest.approx(-0.5, abs=0.02)
+
+
 def test_concentration_pooled_reference_distance():
     gp = make_product_posterior(400, center=0.4)
     sd = 0.2 / np.sqrt(400)
