@@ -87,8 +87,8 @@ def _load_config(args) -> dict:
     config written by another command, an unknown kind, --fast for a kind
     without such a pair, --jobs for a study kind other than ssm, a key the
     command and kind do not read (n_test_sets under exact risk), a value
-    whose type does not fit its key's default and a negative seed raise a
-    ParameterError; no value is coerced."""
+    whose type does not fit its key's default, a negative seed and data the
+    weight cannot act on raise a ParameterError; no value is coerced."""
     cfg = {}
     name = args.command.replace("-", "_")
     if args.config:
@@ -137,7 +137,13 @@ def _load_config(args) -> dict:
         raise ParameterError(f"seed must be non-negative, got {cfg['seed']}")
     if kind_key:
         cfg[kind_key] = kind
-    return {**defaults, **cfg}
+    cfg = {**defaults, **cfg}
+    # eta tempers only interior emissions, the mixture weight only module 2
+    for key, least in (("d_x", 3), ("n2", 1)):
+        if name != "simulate" and cfg.get(key, least) < least:
+            raise ParameterError(f"{key} must be >= {least} for the calibrated "
+                                 f"weight to change anything, got {cfg[key]}")
+    return cfg
 
 
 def _fail(code: int, msg: str) -> int:

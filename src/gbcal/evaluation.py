@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 from .datasets import ParameterError, SsmTruth, simulate_ssm, split_ssm_blocks
 from .hypercal import (GridPosterior, SGrid, compute_estimator_set,
                        grid_posterior_from_values, prior_uniform)
-from .ssm import anchor_pair_log_predictive, build_ssm_phi_lattice
+from .ssm import build_ssm_phi_lattice
 # kept importable here: perfbench/spans.py wraps it at this module by name
 from .ssm import build_ssm_phi_posterior  # noqa: F401
 
@@ -75,8 +75,7 @@ def _ssm_exact_block_integrals(post1, post2,
     """
     u, w = _laguerre_rule()
     r = 2.0 * anchor_var * u
-    log_diff = (anchor_pair_log_predictive(r, post1.phi2, post1.log_weights)
-                - anchor_pair_log_predictive(r, post2.phi2, post2.log_weights))
+    log_diff = post1.scores(r) - post2.scores(r)
     return float(logsumexp(log_diff, b=w)), float(w @ log_diff)
 
 

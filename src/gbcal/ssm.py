@@ -109,7 +109,7 @@ def _tempered_log_marginal(data: SsmDataset, truth: SsmTruth):
             # contiguous (E, G) planes; for k < 8 that is the order of a
             # sum over a last axis too.  The quadratic form keeps BLAS's
             # order on a (E, G, k) copy.
-            ridge = D[:, None, None] + np.ascontiguousarray(t / eta)
+            ridge = D[:, None, None] + t / eta
             logdet = data.n_blocks * np.sum(np.log(ridge), axis=0)
             np.reciprocal(ridge, out=ridge)
             quad = np.ascontiguousarray(np.moveaxis(ridge, 0, -1)) @ S
@@ -136,35 +136,31 @@ def ssm_log_posterior_phi2(phi2, data: SsmDataset, truth: SsmTruth,
 @dataclass(frozen=True)
 class SsmPhiPosterior:
     """Normalized phi^2 posteriors of one dataset, each on its own log grid
-    of _FINE points: row i of phi2 and log_density, shape (E, _FINE), is the
+    of _FINE points: row i of phi2 and log_weights, shape (E, _FINE), is the
     posterior at etas[i].  A single posterior, row(i), drops the eta axis.
     This class alone scores held-out anchor pairs against them."""
 
     etas: np.ndarray          # (E,), or a scalar for a single posterior
-    phi2: np.ndarray          # grids, increasing along the last axis
-    log_density: np.ndarray   # normalized wrt phi2
-
-    @property
-    def log_weights(self) -> np.ndarray:
-        """log of (density * np.gradient(phi2)); each row sums to ~1 in
-        probability.  np.gradient is the trapezoid weight inside but twice
-        it at the two ends, where the normaliser of log_density uses the
-        true trapezoid rule; the end densities are 45 nats or more under the
-        peak (unless the window reaches an end of _COARSE), so the doubled
-        end weights are harmless."""
-        return self.log_density + np.log(np.gradient(self.phi2, axis=-1))
+    phi2: np.ndarray          # C-ordered grids, increasing along the last axis
+    log_weights: np.ndarray   # log quadrature weights; each row sums to ~1
 
     def row(self, i: int) -> SsmPhiPosterior:
         return SsmPhiPosterior(etas=self.etas[i], phi2=self.phi2[i],
-                               log_density=self.log_density[i])
+                               log_weights=self.log_weights[i])
+
+    def scores(self, r, n_pairs: int = 1) -> np.ndarray:
+        """Log predictive density of n_pairs anchor pairs with residual sum
+        of squares r under each row, shape (E, *r.shape), or r.shape for a
+        single posterior; a row reduces its own nodes, bitwise as alone."""
+        shape = self.phi2.shape[:-1] + (1,) * np.ndim(r) + (-1,)
+        return anchor_pair_log_predictive(r, self.phi2.reshape(shape),
+                                          self.log_weights.reshape(shape),
+                                          n_pairs)
 
     def block_log_predictive(self, y: SsmDataset) -> np.ndarray:
         """Per-block log predictive density of y's anchor pairs under each
-        row, shape (E, J), or (J,) for a single posterior; one (E, J, _FINE)
-        array."""
-        return anchor_pair_log_predictive(anchor_residuals(y),
-                                          self.phi2[..., None, :],
-                                          self.log_weights[..., None, :])
+        row, shape (E, J), or (J,) for a single posterior."""
+        return self.scores(anchor_residuals(y))
 
     def log_predictive(self, y: SsmDataset, kind: str) -> np.ndarray:
         """Calibration log predictive of y under each row, shape (E,):
@@ -172,25 +168,17 @@ class SsmPhiPosterior:
         sums the per-block densities."""
         if kind == "pooled":
             r = anchor_residuals(y)
-            return anchor_pair_log_predictive(np.sum(r), self.phi2,
-                                              self.log_weights, len(r))
+            return self.scores(np.sum(r), len(r))
         if kind != "product":
             raise ParameterError(f"kind must be pooled or product, got {kind!r}")
         return np.sum(self.block_log_predictive(y), axis=-1)
 
     def test_set_log_predictive(self, tests) -> np.ndarray:
         """Per-block log predictive densities of equally sized test sets
-        under each row, shape (E, n_sets, blocks).  Each row scores the
-        anchor pairs of all test sets in its own (n_sets * blocks, _FINE)
-        array: phi2 is built column by column, and one broadcast array
-        would take that order, eta innermost, and reduce over _FINE at a
-        stride of E."""
+        under each row, shape (E, n_sets, blocks)."""
         if not tests:
             raise ParameterError("need at least one test set")
-        r = np.concatenate([anchor_residuals(z) for z in tests])
-        rows = [self.row(i) for i in range(len(self.etas))]
-        return np.stack([anchor_pair_log_predictive(r, p.phi2, p.log_weights)
-                         .reshape(len(tests), -1) for p in rows])
+        return self.scores(np.stack([anchor_residuals(z) for z in tests]))
 
 
 def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth,
@@ -208,12 +196,17 @@ def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth,
     last = n - 1 - np.argmax(keep[:, ::-1], axis=1)
     lo = _COARSE[np.maximum(first - 1, 0)]
     hi = _COARSE[np.minimum(last + 1, n - 1)]
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), _FINE, axis=1))
+    # C order: each score reduces over a row's contiguous _FINE nodes
+    grid = np.exp(np.linspace(np.log(lo), np.log(hi), _FINE, axis=1),
+                  order="C")
     lp = log_post(grid, etas)
     lp -= np.max(lp, axis=1, keepdims=True)
     norm = np.trapezoid(np.exp(lp), grid, axis=1)
-    return SsmPhiPosterior(etas=etas, phi2=grid,
-                           log_density=lp - np.log(norm)[:, None])
+    # np.gradient doubles the trapezoid weight at the two ends, which sit
+    # 45 nats or more under the peak (unless the window reaches an end of
+    # _COARSE), so each row's weights still sum to ~1
+    log_w = lp - np.log(norm)[:, None] + np.log(np.gradient(grid, axis=1))
+    return SsmPhiPosterior(etas=etas, phi2=grid, log_weights=log_w)
 
 
 def build_ssm_phi_posterior(data: SsmDataset, truth: SsmTruth,

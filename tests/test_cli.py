@@ -233,6 +233,16 @@ def test_flag_that_changes_nothing_rejected(tmp_path, capsys, argv, cfg, flag):
     ("calibrate", {"phi_M_star": float("inf")}, []),
     ("study", {"phi_M_star": float("nan"), "n_replicates": 1,
                "n_test_sets": 1}, []),
+    # data under which the calibrated weight changes nothing: no interior
+    # emission for eta to temper, no module-2 point for the mixture weight
+    ("calibrate", {"d_x": 2}, []),
+    ("calibrate", {"d_x": 1}, []),
+    ("study", {"d_x": 2, "n_replicates": 1, "n_test_sets": 1}, []),
+    ("study", {"d_x": 2, "risk_method": "exact", "n_replicates": 1}, []),
+    ("risk-ratio", {"d_x": 2}, []),
+    ("study", {"kind": "nested-check", "d_x": 2}, ["--fast"]),
+    ("calibrate", {"kind": "mixture", "n2": 0}, []),
+    ("study", {"kind": "mixture-concentration", "n2": 0}, []),
 ])
 def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
     """A value must fit the type of its key's default (an int is a float, a
@@ -258,6 +268,30 @@ def test_non_finite_truth_named_before_any_warning(tmp_path, capsys, value):
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == (f"error: phi_M_star must be finite "
                                        f"and positive, got {value}\n")
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("calibrate", {"d_x": 2}),
+    ("risk-ratio", {"d_x": 1}),
+    ("study", {"kind": "nested-check", "d_x": 2}),
+    ("calibrate", {"kind": "mixture", "n2": 0}),
+    ("study", {"kind": "mixture-concentration", "n2": 0}),
+])
+def test_data_the_weight_cannot_act_on_named_before_any_draw(
+        tmp_path, capsys, monkeypatch, command, cfg):
+    """d_x < 3 leaves eta no interior emission, n2 = 0 leaves the mixture
+    weight no module-2 point: exit 2 naming the key, before any draw."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("simulated before the config was checked")
+
+    for name in ("simulate_ssm", "simulate_mixture"):
+        monkeypatch.setattr(datasets, name, no_draw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    key = next(k for k in ("d_x", "n2") if k in cfg)
+    assert capsys.readouterr().err.startswith(f"error: {key} must be >= ")
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])

@@ -234,8 +234,8 @@ def _refined(lattice, data, truth, n):
     lp = _tempered_log_marginal(data, truth)(t, lattice.etas)
     lp -= np.max(lp, axis=1, keepdims=True)
     norm = np.trapezoid(np.exp(lp), t, axis=1)
-    return SsmPhiPosterior(etas=lattice.etas, phi2=t,
-                           log_density=lp - np.log(norm)[:, None])
+    log_w = lp - np.log(norm)[:, None] + np.log(np.gradient(t, axis=1))
+    return SsmPhiPosterior(etas=lattice.etas, phi2=t, log_weights=log_w)
 
 
 @pytest.mark.parametrize("phi_m, seed", [(0.5, 8), (1.0, 3), (2.0, 5)])

@@ -158,8 +158,8 @@ def test_lattice_without_interior_emissions():
     anchor-only posterior, on the lattice's (E, _FINE) shape."""
     data, truth = small_data(d_x=2)
     lat = build_ssm_phi_lattice(data, truth, [0.0, 0.5, 3.0])
-    assert lat.phi2.shape == lat.log_density.shape == (3, 101)
-    assert np.all(lat.log_density == lat.log_density[0])
+    assert lat.phi2.shape == lat.log_weights.shape == (3, 101)
+    assert np.all(lat.log_weights == lat.log_weights[0])
 
 
 def _mean_phi2(post):
@@ -169,8 +169,7 @@ def _mean_phi2(post):
 def test_posterior_normalizes_and_concentrates():
     data, truth = small_data(n_blocks=200, seed=4)
     post = build_ssm_phi_posterior(data, truth, eta=1.0)
-    mass = np.trapezoid(np.exp(post.log_density), post.phi2)
-    assert mass == pytest.approx(1.0, abs=1e-6)
+    assert np.sum(np.exp(post.log_weights)) == pytest.approx(1.0, abs=1e-6)
     # phi_M* = phi_A* = 1, so the posterior should sit near phi^2 = 1
     assert abs(_mean_phi2(post) - 1.0) < 0.15
 
@@ -221,19 +220,27 @@ def test_one_eta_posterior_is_a_lattice_row():
     for i, eta in enumerate(etas):
         one, row = build_ssm_phi_posterior(data, truth, eta), lattice.row(i)
         assert one.etas == row.etas == eta
-        for field in ("phi2", "log_density", "log_weights"):
+        for field in ("phi2", "log_weights"):
             assert np.array_equal(getattr(one, field), getattr(row, field))
 
 
 def test_lattice_block_predictive_matches_rows():
+    """A lattice scores each row bitwise as that row alone: block, test-set
+    and pooled scores."""
     data, truth = small_data(n_blocks=12, seed=11, phi_M_star=0.5)
-    calib, _ = small_data(n_blocks=7, seed=12, phi_M_star=0.5)
+    tests = [small_data(n_blocks=7, seed=s, phi_M_star=0.5)[0]
+             for s in (12, 13, 14)]
+    calib = tests[0]
     lattice = build_ssm_phi_lattice(data, truth, [0.0, 0.25, 1.0, 3.0])
     per = lattice.block_log_predictive(calib)
-    assert per.shape == (4, 7)
+    sets = lattice.test_set_log_predictive(tests)
+    pooled = lattice.log_predictive(calib, "pooled")
+    assert per.shape == (4, 7) and sets.shape == (4, 3, 7)
     for i in range(4):
-        assert np.allclose(per[i], lattice.row(i).block_log_predictive(calib),
-                           rtol=0.0, atol=1e-13)
+        row = lattice.row(i)
+        assert np.array_equal(per[i], row.block_log_predictive(calib))
+        assert np.array_equal(sets[i], row.test_set_log_predictive(tests))
+        assert pooled[i] == row.log_predictive(calib, "pooled")
 
 
 def test_empirical_losses_shapes_and_large_eta_growth():
