@@ -78,6 +78,9 @@ _CONFIG_KEYS = {
         "table-f1": {"table_n_rep": (10 ** 4, 2000)},
     }),
 }
+# the only values these keys take, wherever a command reads them
+_CHOICES = {"loss": ("product", "pooled"), "family": ("gamma", "eta"),
+            "risk_method": ("simulate", "exact")}
 
 
 def _load_config(args) -> dict:
@@ -87,8 +90,9 @@ def _load_config(args) -> dict:
     config written by another command, an unknown kind, --fast for a kind
     without such a pair, --jobs for a study kind other than ssm, a key the
     command and kind do not read (n_test_sets under exact risk), a value
-    whose type does not fit its key's default, a negative seed and data the
-    weight cannot act on raise a ParameterError; no value is coerced."""
+    whose type does not fit its key's default or that is not one of its
+    key's _CHOICES, a negative seed and data the weight cannot act on raise
+    a ParameterError; no value is coerced."""
     cfg = {}
     name = args.command.replace("-", "_")
     if args.config:
@@ -133,6 +137,10 @@ def _load_config(args) -> dict:
                 value, (int, float) if want is float else want):
             raise ParameterError(f"{key} must be of type {want.__name__}, "
                                  f"got {value!r}")
+    for key, choices in _CHOICES.items():
+        if cfg.get(key, choices[0]) not in choices:
+            alts = " or ".join(map(repr, choices))
+            raise ParameterError(f"{key} must be {alts}, got {cfg[key]!r}")
     if cfg.get("seed", 0) < 0:
         raise ParameterError(f"seed must be non-negative, got {cfg['seed']}")
     if kind_key:

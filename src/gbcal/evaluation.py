@@ -62,9 +62,10 @@ def _laguerre_rule():
     return np.polynomial.laguerre.laggauss(64)
 
 
-def _ssm_exact_block_integrals(post1, post2,
-                               anchor_var: float = 1.0) -> tuple[float, float]:
-    """(log E[p1/p2], E[log p1 - log p2]) per fresh block, by quadrature.
+def _ssm_exact_block_integrals(scores1, scores2) -> tuple[float, float]:
+    """(log E[p1/p2], E[log p1 - log p2]) per fresh block, by quadrature,
+    from the block log predictive densities of two posteriors at the anchor
+    residual sums r = 2 anchor_var u, u the _laguerre_rule nodes.
 
     The block score of an anchor-pair predictive depends on the data only
     through the anchor residual sum of squares r, which for a fresh block
@@ -73,9 +74,8 @@ def _ssm_exact_block_integrals(post1, post2,
     are then integrals against exp(-u) on [0, inf), done by a 64-node
     Gauss-Laguerre rule: 32, 64 and 128 nodes agree to about 1e-13.
     """
-    u, w = _laguerre_rule()
-    r = 2.0 * anchor_var * u
-    log_diff = post1.scores(r) - post2.scores(r)
+    w = _laguerre_rule()[1]
+    log_diff = scores1 - scores2
     return float(logsumexp(log_diff, b=w)), float(w @ log_diff)
 
 
@@ -91,7 +91,8 @@ def ssm_exact_block_log_ratio(post1, post2, anchor_var: float = 1.0) -> float:
     equal predictive quality the expected ratio is 1 + c with c far below
     the Monte Carlo error of any affordable number of simulated test sets.
     """
-    return _ssm_exact_block_integrals(post1, post2, anchor_var)[0]
+    r = 2.0 * anchor_var * _laguerre_rule()[0]
+    return _ssm_exact_block_integrals(post1.scores(r), post2.scores(r))[0]
 
 
 # --- state-space replicate study ------------------------------------------
@@ -148,8 +149,7 @@ class ReplicateStudy:
         with open(path, "w") as fh:
             fh.write("comparison,min,q25,median,q75,max,mean\n")
             for name in self.risk_reports[0]:
-                vals = np.array([rep[name].value for rep in self.risk_reports
-                                 if name in rep])
+                vals = np.array([rep[name].value for rep in self.risk_reports])
                 row = (vals.min(), *np.percentile(vals, [25, 50, 75]),
                        vals.max(), vals.mean())
                 fh.write(name + "," + ",".join(f"{v:.6g}" for v in row) + "\n")
@@ -184,26 +184,26 @@ def run_ssm_replicate(config: SsmStudyConfig, r: int):
                                    [eta_hat] + [e for _, e in refs])
 
     if config.risk_method == "exact":
-        anchor_var = config.truth.phi_A_star ** 2
-        reports = {}
-        for i, (name, eta_ref) in enumerate(refs, 1):
-            log_r, mean_log_r = _ssm_exact_block_integrals(
-                refits.row(0), refits.row(i), anchor_var)
-            reports[name] = RiskRatioReport(
-                s1=eta_hat, s2=eta_ref,
-                value=float(np.exp(config.test_blocks * log_r)),
-                mean_log_ratio=config.test_blocks * mean_log_r,
-                n_test_sets=0, per_set_log_ratios=np.empty(0), mc_se=0.0)
-        return est, reports
+        # every row's block scores at the Laguerre residuals, shape (3, 64)
+        u, _ = _laguerre_rule()
+        scores = refits.scores(2.0 * config.truth.phi_A_star ** 2 * u)
 
-    tests = [simulate_ssm(config.truth, config.test_blocks, config.d_x,
-                          int(rs[2]) + 1000 * k)
-             for k in range(config.n_test_sets)]
-    scores = refits.test_set_log_predictive(tests)
-    reports = {name: risk_ratio_product(eta_hat, eta_ref, scores[0],
-                                        scores[i])
-               for i, (name, eta_ref) in enumerate(refs, 1)}
-    return est, reports
+        def report(s1, s2, scores1, scores2):
+            log_r, mean_log_r = _ssm_exact_block_integrals(scores1, scores2)
+            j = config.test_blocks
+            return RiskRatioReport(
+                s1=s1, s2=s2, value=float(np.exp(j * log_r)),
+                mean_log_ratio=j * mean_log_r, n_test_sets=0,
+                per_set_log_ratios=np.empty(0), mc_se=0.0)
+    else:
+        tests = [simulate_ssm(config.truth, config.test_blocks, config.d_x,
+                              int(rs[2]) + 1000 * k)
+                 for k in range(config.n_test_sets)]
+        # every row's per-block scores of each test set, (3, n_sets, blocks)
+        scores = refits.test_set_log_predictive(tests)
+        report = risk_ratio_product
+    return est, {name: report(eta_hat, eta_ref, scores[0], scores[i])
+                 for i, (name, eta_ref) in enumerate(refs, 1)}
 
 
 def ssm_replicate_study(config: SsmStudyConfig, jobs: int = 1) -> ReplicateStudy:

@@ -243,6 +243,12 @@ def test_flag_that_changes_nothing_rejected(tmp_path, capsys, argv, cfg, flag):
     ("study", {"kind": "nested-check", "d_x": 2}, ["--fast"]),
     ("calibrate", {"kind": "mixture", "n2": 0}, []),
     ("study", {"kind": "mixture-concentration", "n2": 0}, []),
+    # a value outside its key's fixed set
+    ("calibrate", {"loss": "bogus"}, []),
+    ("calibrate", {"kind": "mixture", "loss": "bogus"}, []),
+    ("calibrate", {"kind": "mixture", "family": "bogus"}, []),
+    ("study", {"loss": "bogus", "n_replicates": 1, "n_test_sets": 1}, []),
+    ("study", {"risk_method": "bogus", "n_replicates": 1}, []),
 ])
 def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
     """A value must fit the type of its key's default (an int is a float, a
@@ -292,6 +298,37 @@ def test_data_the_weight_cannot_act_on_named_before_any_draw(
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     key = next(k for k in ("d_x", "n2") if k in cfg)
     assert capsys.readouterr().err.startswith(f"error: {key} must be >= ")
+
+
+@pytest.mark.parametrize("command, cfg, choices", [
+    ("calibrate", {"loss": "bogus"}, "'product' or 'pooled'"),
+    ("calibrate", {"kind": "mixture", "loss": "pooled "},
+     "'product' or 'pooled'"),
+    ("calibrate", {"kind": "mixture", "family": "Gamma"}, "'gamma' or 'eta'"),
+    ("study", {"loss": "bogus"}, "'product' or 'pooled'"),
+    ("study", {"risk_method": "simulated"}, "'simulate' or 'exact'"),
+])
+def test_value_outside_its_choices_named_before_anything_is_written(
+        tmp_path, capsys, monkeypatch, command, cfg, choices):
+    """loss, family and risk_method take fixed sets of values: another
+    value exits 2 naming its key, under --dry-run too, and a real run
+    neither draws data nor writes the resolved config."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("simulated before the config was checked")
+
+    for name in ("simulate_ssm", "simulate_mixture"):
+        monkeypatch.setattr(datasets, name, no_draw)
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    (key, value), = ((k, v) for k, v in cfg.items() if k != "kind")
+    for flags in (["--dry-run"], []):
+        assert main([command, "--config", str(path), "--out", str(out)]
+                    + flags) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {key} must be {choices}, "
+                                f"got {value!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])

@@ -6,8 +6,8 @@ from scipy.special import logsumexp
 
 from gbcal.datasets import (ParameterError, SsmTruth, simulate_ssm,
                             split_ssm_blocks)
-from gbcal.evaluation import (SsmStudyConfig, _ssm_eta_posterior,
-                              _ssm_exact_block_integrals,
+from gbcal.evaluation import (SsmStudyConfig, _laguerre_rule,
+                              _ssm_eta_posterior, _ssm_exact_block_integrals,
                               pooled_limit_distance, risk_ratio_product,
                               run_ssm_replicate, ssm_exact_block_log_ratio,
                               ssm_replicate_study)
@@ -85,6 +85,13 @@ def _block_logp(post, rr):
     return logsumexp(per + post.log_weights[None, :], axis=1)
 
 
+def _exact_integrals(p1, p2, anchor_var=1.0):
+    """_ssm_exact_block_integrals of two posteriors, each scored at the
+    anchor residuals r = 2 anchor_var u of the Laguerre nodes u."""
+    r = 2.0 * anchor_var * _laguerre_rule()[0]
+    return _ssm_exact_block_integrals(p1.scores(r), p2.scores(r))
+
+
 def test_exact_block_log_ratio_identity_is_zero():
     data = simulate_ssm(SsmTruth(), 8, 6, seed=0)
     post = build_ssm_phi_posterior(data, SsmTruth(), 1.0)
@@ -108,7 +115,7 @@ def test_exact_block_log_ratio_matches_monte_carlo():
 def test_exact_block_expected_log_ratio_identity_is_zero():
     data = simulate_ssm(SsmTruth(), 8, 6, seed=0)
     post = build_ssm_phi_posterior(data, SsmTruth(), 1.0)
-    _, expected_log = _ssm_exact_block_integrals(post, post)
+    _, expected_log = _exact_integrals(post, post)
     assert expected_log == 0.0
 
 
@@ -117,7 +124,7 @@ def test_exact_block_expected_log_ratio_matches_monte_carlo():
     data = simulate_ssm(truth, 10, 6, seed=1)
     p1 = build_ssm_phi_posterior(data, truth, 0.3)
     p2 = build_ssm_phi_posterior(data, truth, 1.0)
-    log_expected, expected_log = _ssm_exact_block_integrals(p1, p2)
+    log_expected, expected_log = _exact_integrals(p1, p2)
     assert log_expected == ssm_exact_block_log_ratio(p1, p2)
     rng = np.random.default_rng(2)
     r = rng.chisquare(2, size=20000)
@@ -163,7 +170,7 @@ def test_exact_block_integrals_match_adaptive_quadrature(phi_m, seed, etas):
         expected_log, _ = quad(lambda r: log_diff(r) * np.exp(log_dens(r)),
                                0.0, np.inf, epsabs=1e-14, epsrel=1e-13,
                                limit=200)
-        got = _ssm_exact_block_integrals(p1, p2, anchor_var)
+        got = _exact_integrals(p1, p2, anchor_var)
         assert got[0] == pytest.approx(np.log(expected_ratio), abs=1e-9)
         assert got[1] == pytest.approx(expected_log, abs=1e-9)
 
@@ -260,20 +267,39 @@ def test_phi_lattice_converged_against_6401_nodes(phi_m, seed):
     fine = _refined(refits, full, truth, 6401)
     for i in range(len(etas)):
         for j in (0, 3):                    # against the cut and plain Bayes
-            got = _ssm_exact_block_integrals(refits.row(i), refits.row(j))
-            ref = _ssm_exact_block_integrals(fine.row(i), fine.row(j))
+            got = _exact_integrals(refits.row(i), refits.row(j))
+            ref = _exact_integrals(fine.row(i), fine.row(j))
             assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
 def test_exact_risk_method_replicate():
-    cfg = SsmStudyConfig(n_total_blocks=20, n_train_blocks=5, n_replicates=1,
-                         grid_points=9, risk_method="exact", seed=3)
-    est, reports = run_ssm_replicate(cfg, 0)
-    for rep in reports.values():
-        assert rep.value > 0 and np.isfinite(rep.value)
-        assert np.isfinite(rep.mean_log_ratio)
-        assert rep.n_test_sets == 0
-        assert rep.mc_se == 0.0
+    """Each exact-risk report is test_blocks times the exact per-block
+    integrals of the posteriors built alone at eta-hat and the reference
+    eta, bitwise, under both losses and at an anchor variance other than
+    1: the one scoring of the refit lattice loses nothing."""
+    for kind, truth in (("product", SsmTruth()),
+                        ("pooled", SsmTruth(phi_A_star=0.8))):
+        cfg = SsmStudyConfig(truth=truth, n_total_blocks=20,
+                             n_train_blocks=5, n_replicates=1, grid_points=9,
+                             kind=kind, risk_method="exact", seed=3)
+        est, reports = run_ssm_replicate(cfg, 0)
+        rs = np.random.SeedSequence(cfg.seed).spawn(1)[0].generate_state(4)
+        full = simulate_ssm(cfg.truth, cfg.n_total_blocks, cfg.d_x,
+                            int(rs[0]))
+        eta_hat = est.mean.eta
+        post_hat = build_ssm_phi_posterior(full, cfg.truth, eta_hat)
+        for name, eta_ref in (("mean_vs_bayes", 1.0), ("mean_vs_cut", 0.0)):
+            rep = reports[name]
+            log_r, mean_log_r = _exact_integrals(
+                post_hat, build_ssm_phi_posterior(full, cfg.truth, eta_ref),
+                cfg.truth.phi_A_star ** 2)
+            assert (rep.s1, rep.s2) == (eta_hat, eta_ref)
+            assert rep.value == np.exp(cfg.test_blocks * log_r)
+            assert rep.mean_log_ratio == cfg.test_blocks * mean_log_r
+            assert rep.value > 0 and np.isfinite(rep.value)
+            assert np.isfinite(rep.mean_log_ratio)
+            assert rep.n_test_sets == 0
+            assert rep.mc_se == 0.0
 
 
 def test_unknown_risk_method_rejected():
@@ -349,11 +375,18 @@ def test_replicate_study_deterministic_and_serializable(tmp_path):
 
 
 def test_replicate_study_parallel_matches_serial():
-    cfg = fast_config(n_replicates=2)
-    serial = ssm_replicate_study(cfg, jobs=1)
-    par = ssm_replicate_study(cfg, jobs=2)
-    for a, b in zip(serial.risk_reports, par.risk_reports):
-        assert a["mean_vs_cut"].value == pytest.approx(b["mean_vs_cut"].value)
+    """Worker processes change nothing but wall time: under both risk
+    methods every report is bitwise the serial one."""
+    for risk_method in ("simulate", "exact"):
+        cfg = fast_config(n_replicates=2, risk_method=risk_method)
+        serial = ssm_replicate_study(cfg, jobs=1)
+        par = ssm_replicate_study(cfg, jobs=2)
+        assert len(serial.risk_reports) == len(par.risk_reports) == 2
+        for a, b in zip(serial.risk_reports, par.risk_reports):
+            assert a.keys() == b.keys()
+            for name in a:
+                assert a[name].value == b[name].value
+                assert a[name].mean_log_ratio == b[name].mean_log_ratio
 
 
 def make_product_posterior(J, sd0=0.2, center=0.5):
