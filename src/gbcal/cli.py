@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -137,6 +138,8 @@ def _load_config(args) -> dict:
                 value, (int, float) if want is float else want):
             raise ParameterError(f"{key} must be of type {want.__name__}, "
                                  f"got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{key} must be finite, got {value}")
     for key, choices in _CHOICES.items():
         if cfg.get(key, choices[0]) not in choices:
             alts = " or ".join(map(repr, choices))
@@ -151,7 +154,39 @@ def _load_config(args) -> dict:
         if name != "simulate" and cfg.get(key, least) < least:
             raise ParameterError(f"{key} must be >= {least} for the calibrated "
                                  f"weight to change anything, got {cfg[key]}")
+    if "J_ladder" in cfg:                    # the study kinds' own checks
+        _check_study(cfg, kind)
     return cfg
+
+
+def _check_study(cfg: dict, kind: str) -> None:
+    """The J ladder of mixture-concentration and nested-check, and the
+    (eta, b) bounds and sampler budget of nested-check: values that a
+    type does not settle."""
+    ladder = cfg["J_ladder"]
+    least = 2 if kind == "mixture-concentration" else 1   # a slope needs two
+    if not (len(ladder) >= least
+            and all(type(J) is int and J >= 1 for J in ladder)
+            and len(set(ladder)) == len(ladder)):
+        raise ParameterError(f"J_ladder must hold at least {least} distinct "
+                             f"ints >= 1, got {ladder}")
+    if kind != "nested-check":
+        return
+    for key, lo_positive in (("eta_bounds", False), ("b_bounds", True)):
+        lohi = cfg[key]
+        if not (len(lohi) == 2
+                and all(type(v) in (int, float) and np.isfinite(v)
+                        for v in lohi)
+                and lohi[0] < lohi[1] and (lohi[0] > 0 if lo_positive
+                                           else lohi[0] >= 0)):
+            raise ParameterError(f"{key} must be two finite numbers lo < hi "
+                                 f"with lo {'>' if lo_positive else '>='} 0, "
+                                 f"got {lohi}")
+    burn_in = hypercal.NESTED_BURN_IN
+    if cfg["n_outer"] <= burn_in or cfg["inner_len"] < 1:
+        raise ParameterError(f"n_outer must exceed the burn-in of {burn_in} "
+                             f"and inner_len must be >= 1, got "
+                             f"{cfg['n_outer']} and {cfg['inner_len']}")
 
 
 def _fail(code: int, msg: str) -> int:
@@ -251,27 +286,6 @@ def cmd_study(cfg: dict, out: Path, args) -> int:
     return EXIT_OK
 
 
-def _ladder(cfg: dict, least: int) -> list:
-    ladder = cfg["J_ladder"]
-    if not (len(ladder) >= least
-            and all(type(J) is int and J >= 1 for J in ladder)
-            and len(set(ladder)) == len(ladder)):
-        raise ParameterError(f"J_ladder must hold at least {least} distinct "
-                             f"ints >= 1, got {ladder}")
-    return ladder
-
-
-def _bounds(cfg: dict, key: str, lo_positive: bool) -> tuple:
-    lohi = cfg[key]
-    if not (len(lohi) == 2
-            and all(type(v) in (int, float) and np.isfinite(v) for v in lohi)
-            and lohi[0] < lohi[1] and (lohi[0] > 0 if lo_positive
-                                       else lohi[0] >= 0)):
-        raise ParameterError(f"{key} must be two finite numbers lo < hi with "
-                             f"lo {'>' if lo_positive else '>='} 0, got {lohi}")
-    return float(lohi[0]), float(lohi[1])
-
-
 def _mixture_concentration(cfg: dict, out: Path) -> int:
     """Product and pooled influence-weight posteriors of the two-module
     mixture along a ladder of calibration sizes J: writes mean, mode and sd
@@ -280,7 +294,7 @@ def _mixture_concentration(cfg: dict, out: Path) -> int:
     non-concentrating limit."""
     from scipy.stats import norm
 
-    ladder = sorted(_ladder(cfg, least=2))     # the slope needs two sizes
+    ladder = sorted(cfg["J_ladder"])
     t0, seed = time.time(), cfg["seed"]
     truth = MixtureTruth(lambda_star=cfg["lambda_star"])
     stats = mix_oracle.MixtureStats.from_data(
@@ -328,15 +342,8 @@ def _nested_check(cfg: dict, out: Path) -> int:
     J: writes both, and prints the two-sample KS distance per axis."""
     from scipy.stats import ks_2samp
 
-    ladder = _ladder(cfg, least=1)
-    bounds = [_bounds(cfg, "eta_bounds", lo_positive=False),
-              _bounds(cfg, "b_bounds", lo_positive=True)]
-    # the sampler's own checks would come only after the first lattice
-    burn_in = hypercal.NESTED_BURN_IN
-    if cfg["n_outer"] <= burn_in or cfg["inner_len"] < 1:
-        raise ParameterError(f"n_outer must exceed the burn-in of {burn_in} "
-                             f"and inner_len must be >= 1, got "
-                             f"{cfg['n_outer']} and {cfg['inner_len']}")
+    ladder = cfg["J_ladder"]
+    bounds = [cfg["eta_bounds"], cfg["b_bounds"]]
     seed = cfg["seed"]
     truth = SsmTruth(phi_M_star=cfg["phi_M_star"])
     train = datasets.simulate_ssm(truth, cfg["n_train_blocks"], cfg["d_x"],

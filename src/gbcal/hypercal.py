@@ -18,13 +18,14 @@ only.
 from __future__ import annotations
 
 import bisect
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datasets import HyperPoint, ParameterError
-from .sampling import metropolis_accept
+from .sampling import adapt_log_scale, metropolis_accept
 
 _FINE_1D = 4001
 _FINE_2D = 301
@@ -349,9 +350,10 @@ def nested_mcmc(bounds, state0, inner_refresh, log_calib, n_outer: int,
                         lo, hi)
         new_state = inner_refresh(prop, state, int(rng.integers(2 ** 63)))
         new_calib = float(log_calib(new_state))
-        accepted, log_s_adapt = metropolis_accept(new_calib - cur_calib,
-                                                  log_s_adapt, t, burn_in,
-                                                  0.234, rng)
+        accepted, log_alpha = metropolis_accept(new_calib - cur_calib,
+                                                math.log(rng.random()))
+        if t < burn_in:
+            log_s_adapt = adapt_log_scale(log_s_adapt, log_alpha, t, 0.234)
         if accepted:
             s, state, cur_calib = prop, new_state, new_calib
             n_acc += 1

@@ -1,7 +1,7 @@
 """MCMC machinery: adaptive random-walk Metropolis (one batched chain loop,
-adaptive then frozen, and one accept-and-adapt step), an effective-sample-
-size estimate, and the AR(1) bridge that conditions a block's interior
-latents on its anchors.
+adaptive then frozen, one accept and one Robbins-Monro scale move, both
+shared with the nested sampler), an effective-sample-size estimate, and the
+AR(1) bridge that conditions a block's interior latents on its anchors.
 """
 
 from __future__ import annotations
@@ -35,31 +35,25 @@ def ess_initial_positive(x: np.ndarray) -> float:
     return float(min(m, m / tau))
 
 
-def metropolis_accept(log_alpha, log_s, t: int, burn_in: int, target: float,
-                      rng):
-    """Accept where a uniform falls below alpha = min(1, exp(log_alpha)),
-    one per entry; during burn-in move the log proposal scale log_s by
-    (t+1)^-0.6 (alpha - target), the Robbins-Monro rule of Andrieu & Thoms
-    (2008).  Shared by nested_mcmc and rwm_batch's adaptive steps;
-    rwm_batch's frozen steps compare pre-drawn log uniforms with log_alpha
-    instead.  An array log_alpha is
-    overwritten and an array log_s is updated in place.  Returns
-    (accepted, log_s).
+def metropolis_accept(log_alpha, log_u):
+    """Metropolis decisions, one per entry: accept where the log uniform
+    log_u falls below log_alpha capped at 0.  An array log_alpha is capped
+    in place; a NaN raises ParameterError.  Returns (accepted, capped
+    log_alpha).  The one accept of rwm_batch and nested_mcmc.
     """
-    if isinstance(log_alpha, np.ndarray):
-        alpha = np.minimum(log_alpha, 0.0, out=log_alpha)
-        np.exp(alpha, out=alpha)
-    else:
-        alpha = np.exp(np.minimum(0.0, log_alpha))
-    # alpha lies in [0, 1] unless log_alpha held a NaN
-    if math.isnan(alpha.sum()):
+    out = log_alpha if isinstance(log_alpha, np.ndarray) else None
+    log_alpha = np.minimum(log_alpha, 0.0, out=out)
+    # capped at 0, log alpha is NaN-free exactly when its sum is
+    if math.isnan(log_alpha.sum()):
         raise ParameterError("log target or calibration score returned NaN")
-    accepted = rng.random(np.shape(alpha)) < alpha
-    if t < burn_in:
-        alpha -= target
-        alpha *= (t + 1.0) ** -0.6
-        log_s += alpha
-    return accepted, log_s
+    return log_u < log_alpha, log_alpha
+
+
+def adapt_log_scale(log_s, log_alpha, t: int, target: float):
+    """The Robbins-Monro move of a log proposal scale after step t, with
+    log_alpha capped at 0: log_s + (alpha - target) (t+1)^-0.6 (Andrieu &
+    Thoms 2008).  The one adaptation of rwm_batch and nested_mcmc."""
+    return log_s + (np.exp(log_alpha) - target) * (t + 1.0) ** -0.6
 
 
 # frozen-phase steps whose proposal noise and uniforms are drawn in one call
@@ -75,13 +69,13 @@ def rwm_batch(log_target_batch, init: np.ndarray, n_iter: int, burn_in: int,
     log_target_batch maps a (B, d) state matrix to B log densities; each row
     has its own proposal scale, starting at scale_init (a scalar or one per
     chain) and adapted during burn-in towards acceptance 0.44 in 1-d and
-    0.234 otherwise, then frozen.  With the scale frozen, the proposal noise
-    and the uniforms are drawn _CHUNK steps at a time.  Used for
-    per-lattice-point chains and the nested sampler's side chains; a single
-    chain is a batch of one.  The state after every thin-th step past
-    burn-in is kept.  Returns (draws (B, n_keep, d), accept_rate (B,),
-    scale (B,)), the last being the frozen scale; with burn_in = 0 it is
-    scale_init.
+    0.234 otherwise, then frozen.  The proposal noise and the uniforms are
+    drawn in blocks, normals first: one step per block while the scale
+    adapts, _CHUNK steps once it is frozen.  Used for per-lattice-point
+    chains and the nested sampler's side chains; a single chain is a batch
+    of one.  The state after every thin-th step past burn-in is kept.
+    Returns (draws (B, n_keep, d), accept_rate (B,), scale (B,)), the last
+    being the frozen scale; with burn_in = 0 it is scale_init.
     """
     init = np.asarray(init, dtype=float)
     B, d = init.shape
@@ -99,32 +93,19 @@ def rwm_batch(log_target_batch, init: np.ndarray, n_iter: int, burn_in: int,
     prop = np.empty_like(cur)
     for t in range(n_iter):
         f = t - burn_in
-        if f < 0:                    # adaptive: one draw per step
-            prop = rng.standard_normal((B, d))
-            prop *= np.exp(log_s)[:, None]
-            prop += cur
-        else:                        # frozen: noise and uniforms in blocks
-            j = f % _CHUNK
-            if j == 0:
-                m = min(_CHUNK, n_iter - t)
-                noise = rng.standard_normal((m, B, d))
-                noise *= scale[:, None]
-                log_u = np.log(rng.random((m, B)))
-            np.add(cur, noise[j], out=prop)
+        j = max(f, 0) % _CHUNK
+        if j == 0:           # one step while adapting, _CHUNK once frozen
+            m = 1 if f < 0 else min(_CHUNK, n_iter - t)
+            noise = rng.standard_normal((m, B, d))
+            noise *= (np.exp(log_s) if f < 0 else scale)[:, None]
+            log_u = np.log(rng.random((m, B)))
+        np.add(cur, noise[j], out=prop)
         prop_lp = np.asarray(log_target_batch(prop), dtype=float)
-        log_alpha = prop_lp - cur_lp
+        acc, log_alpha = metropolis_accept(prop_lp - cur_lp, log_u[j])
         if f < 0:
-            acc, log_s = metropolis_accept(log_alpha, log_s, t, burn_in,
-                                           target, rng)
+            log_s = adapt_log_scale(log_s, log_alpha, t, target)
             if f == -1:              # the scale's last move: freeze it
                 scale = np.exp(log_s)
-        else:
-            # log alpha is NaN-free exactly when its sum is, once capped at 0
-            np.minimum(log_alpha, 0.0, out=log_alpha)
-            if math.isnan(log_alpha.sum()):
-                raise ParameterError("log target or calibration score "
-                                     "returned NaN")
-            acc = log_u[j] < log_alpha
         np.copyto(cur, prop, where=acc[:, None])
         np.copyto(cur_lp, prop_lp, where=acc)
         n_acc += acc

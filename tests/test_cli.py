@@ -249,16 +249,29 @@ def test_flag_that_changes_nothing_rejected(tmp_path, capsys, argv, cfg, flag):
     ("calibrate", {"kind": "mixture", "family": "bogus"}, []),
     ("study", {"loss": "bogus", "n_replicates": 1, "n_test_sets": 1}, []),
     ("study", {"risk_method": "bogus", "n_replicates": 1}, []),
+    # nested-check budgets: an outer chain within the burn-in, no side steps
+    ("study", {"kind": "nested-check", "n_outer": 10}, []),
+    ("study", {"kind": "nested-check", "inner_len": 0}, ["--fast"]),
 ])
 def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
     """A value must fit the type of its key's default (an int is a float, a
     bool is not a number), seed must be non-negative, a hyperparameter
     finite, a count positive and the data non-empty; nothing is coerced
-    and nothing but the resolved config is written."""
+    and nothing but the resolved config is written.  A non-finite value,
+    a J ladder, (eta, b) bounds and a nested-check budget are checked as
+    the config is resolved: they exit 2 under --dry-run too, and nothing
+    is written."""
     path, out = tmp_path / "cfg.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(path), "--out", str(out)]
-                + flags) == EXIT_CONFIG
+    resolved = (any(isinstance(v, float) and not np.isfinite(v)
+                    for v in cfg.values())
+                or cfg.keys() & {"J_ladder", "eta_bounds", "b_bounds",
+                                 "n_outer", "inner_len"})
+    for dry in (["--dry-run"], []) if resolved else ([],):
+        assert main([command, "--config", str(path), "--out", str(out)]
+                    + flags + dry) == EXIT_CONFIG
+    if resolved:
+        assert not out.exists()
     assert {p.suffix for p in out.glob("*")} <= {".json"}
 
 
@@ -272,8 +285,8 @@ def test_non_finite_truth_named_before_any_warning(tmp_path, capsys, value):
         warnings.simplefilter("error")
         assert main(["calibrate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (f"error: phi_M_star must be finite "
-                                       f"and positive, got {value}\n")
+    assert capsys.readouterr().err == (f"error: phi_M_star must be finite, "
+                                       f"got {value}\n")
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -602,7 +615,8 @@ def test_study_nested_check(tmp_path, capsys):
 def test_study_nested_check_budget_rejected_before_lattice(tmp_path,
                                                           monkeypatch, budget):
     """An outer chain no longer than the sampler's burn-in, or side chains
-    of no steps, exit 2 before the first (eta, b) lattice is built."""
+    of no steps, exit 2 before the first (eta, b) lattice is built and
+    before anything is written."""
     def no_lattice(*args, **kwargs):
         raise AssertionError("the lattice ran")
 
@@ -612,7 +626,7 @@ def test_study_nested_check_budget_rejected_before_lattice(tmp_path,
                                 **budget}))
     assert main(["study", "--config", str(path), "--out",
                  str(out)]) == EXIT_CONFIG
-    assert [p.name for p in out.iterdir()] == ["study_config.json"]
+    assert not out.exists()
 
 
 def test_risk_ratio_command(tmp_path):

@@ -4,8 +4,8 @@ from scipy import stats
 from scipy.special import gammaln
 
 from gbcal.datasets import ParameterError, SsmTruth, simulate_ssm
-from gbcal.hypercal import (_FINE_1D, _FINE_2D, SGrid, _gtsv,
-                            _NaturalCubicSpline,
+from gbcal.hypercal import (_FINE_1D, _FINE_2D, NESTED_BURN_IN, SGrid,
+                            _gtsv, _NaturalCubicSpline, _reflect,
                             compute_estimator_set, estimate_posterior_mode,
                             grid_posterior_from_values,
                             harmonic_mean_estimator, kl_estimator, nested_mcmc,
@@ -420,6 +420,57 @@ def test_nested_mcmc_rejects_nan_calibration_score():
                     lambda s, state, seed: state + s,
                     lambda state: np.nan if state[0] > 0.7 else 0.0,
                     n_outer=300, seed=1)
+
+
+def _nested_mcmc_reference(bounds, state0, inner_refresh, log_calib,
+                           n_outer, seed):
+    """nested_mcmc written plainly: accept where a uniform falls below
+    alpha = exp(min(0, log alpha)), and during burn-in move the log scale
+    out of place by (t+1)^-0.6 (alpha - 0.234)."""
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    rng = np.random.default_rng(seed)
+    s, scale, log_s = (lo + hi) / 2, (hi - lo) / 10.0, 0.0
+    state = inner_refresh(s, state0, int(rng.integers(2 ** 63)))
+    cur = float(log_calib(state))
+    draws, n_acc = [], 0
+    for t in range(n_outer):
+        prop = _reflect(s + np.exp(log_s) * scale * rng.standard_normal(len(lo)),
+                        lo, hi)
+        new_state = inner_refresh(prop, state, int(rng.integers(2 ** 63)))
+        new = float(log_calib(new_state))
+        alpha = np.exp(np.minimum(0.0, new - cur))
+        if rng.random() < alpha:
+            s, state, cur = prop, new_state, new
+            n_acc += 1
+        if t < NESTED_BURN_IN:
+            log_s = log_s + (t + 1.0) ** -0.6 * (alpha - 0.234)
+        else:
+            draws.append(s)
+    return np.array(draws), n_acc / n_outer
+
+
+def test_nested_mcmc_random_stream_matches_reference():
+    """Draws and acceptance are bitwise those of the plain loop, through the
+    adaptive burn-in and past it, in two dimensions with an exact-draw
+    refresh: phi_j | (eta, b) ~ N(b, 1 / (n eta)) per calibration block."""
+    n, J = 50, 6
+    y = 0.4 + np.random.default_rng(11).standard_normal(J)
+
+    def inner_refresh(s, phis, seed):
+        r = np.random.default_rng(seed)
+        return s[1] + r.standard_normal(phis.shape) / np.sqrt(n * s[0])
+
+    def log_calib(phis):
+        return -0.5 * float(np.sum((y - phis[:, 0]) ** 2))
+
+    args = ([(0.05, 1.0), (-1.0, 2.0)], np.zeros((J, 1)), inner_refresh,
+            log_calib, NESTED_BURN_IN + 60, 13)
+    draws, acc = nested_mcmc(*args)
+    ref_draws, ref_acc = _nested_mcmc_reference(*args)
+    assert draws.shape == (60, 2)
+    assert np.array_equal(draws, ref_draws) and acc == ref_acc
+    assert 0.1 < acc < 0.9
 
 
 def test_nested_mcmc_product_matches_grid_posterior():

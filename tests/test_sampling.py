@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from gbcal.datasets import ParameterError, SsmTruth
-from gbcal.sampling import _CHUNK, ar1_bridge, ess_initial_positive, rwm_batch
+from gbcal.sampling import (_CHUNK, ar1_bridge, ess_initial_positive,
+                            metropolis_accept, rwm_batch)
 
 
 def test_ess_iid_close_to_n():
@@ -214,6 +215,36 @@ def test_rwm_batch_rejects_nan_log_ratio_in_frozen_phase():
         rwm_batch(target, np.zeros((4, 1)), n_iter=3 * _CHUNK, burn_in=0,
                   thin=1, seed=3, scale_init=np.full(4, 0.5))
     assert len(calls) == _CHUNK + 10
+
+
+def test_metropolis_accept():
+    """Scalar and array log alpha; a NaN raises for both; log alpha = -inf
+    never accepts and log alpha >= 0 always does; an array is capped at 0
+    in place; and on a seeded sample the decisions are those of comparing a
+    uniform with alpha = exp(min(0, log alpha))."""
+    acc, capped = metropolis_accept(0.7, np.log(0.999))
+    assert acc and capped == 0.0
+    acc, capped = metropolis_accept(-2.0, np.log(0.5))
+    assert not acc and capped == -2.0
+    for log_alpha in (np.nan, np.array([0.0, np.nan, -1.0])):
+        with pytest.raises(ParameterError, match="NaN"):
+            metropolis_accept(log_alpha, np.log(0.5))
+    log_u = np.append(-np.inf, np.log([1e-300, 0.5, 1.0 - 1e-16]))  # u = 0
+    acc, _ = metropolis_accept(np.full(4, -np.inf), log_u)
+    assert not acc.any()
+    acc, _ = metropolis_accept(np.array([0.0, 3.0, np.inf, 1e-300]), log_u)
+    assert acc.all()
+    log_alpha = np.array([1.5, -0.5, 0.0, -np.inf])
+    acc, capped = metropolis_accept(log_alpha, np.log(np.full(4, 0.5)))
+    assert capped is log_alpha
+    assert np.array_equal(log_alpha, [0.0, -0.5, 0.0, -np.inf])
+    assert np.array_equal(acc, [True, True, True, False])
+    rng = np.random.default_rng(29)
+    log_alpha = rng.normal(-1.0, 2.0, 100000)
+    u = rng.random(100000)
+    want = u < np.exp(np.minimum(0.0, log_alpha))
+    acc, _ = metropolis_accept(log_alpha, np.log(u))
+    assert np.array_equal(acc, want) and 0.3 < acc.mean() < 0.7
 
 
 def test_ar1_bridge_against_dense_conditional():
