@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 import time
 from pathlib import Path
@@ -82,6 +83,20 @@ _CONFIG_KEYS = {
 # the only values these keys take, wherever a command reads them
 _CHOICES = {"loss": ("product", "pooled"), "family": ("gamma", "eta"),
             "risk_method": ("simulate", "exact")}
+# the bounds on these keys' values, wherever a command reads them; a bound
+# that names a key is that key's value, where the command reads it
+_BOUNDS = {
+    **dict.fromkeys(("n_replicates", "n_test_sets", "test_blocks",
+                     "n_total_blocks", "n_blocks", "J", "table_n_rep",
+                     "inner_len"), ((">=", 1),)),
+    **dict.fromkeys(("n1", "n2", "n"), ((">=", 0),)),
+    "grid_points": ((">=", 4),), "eta_upper": ((">", 0),),
+    "n_outer": ((">", hypercal.NESTED_BURN_IN),),
+    "n_train_blocks": ((">=", 1), ("<", "n_total_blocks")),
+    "lambda_star": ((">=", 0), ("<=", 1)),
+}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt,
+            "<=": operator.le}
 
 
 def _load_config(args) -> dict:
@@ -92,8 +107,9 @@ def _load_config(args) -> dict:
     without such a pair, --jobs for a study kind other than ssm, a key the
     command and kind do not read (n_test_sets under exact risk), a value
     whose type does not fit its key's default or that is not one of its
-    key's _CHOICES, a negative seed and data the weight cannot act on raise
-    a ParameterError; no value is coerced."""
+    key's _CHOICES or _BOUNDS, a negative seed, --jobs below 1 and data
+    the weight cannot act on raise a ParameterError; no value is
+    coerced."""
     cfg = {}
     name = args.command.replace("-", "_")
     if args.config:
@@ -121,8 +137,11 @@ def _load_config(args) -> dict:
     what = f"{args.command} {kind}" if kind_key else args.command
     if args.fast and not any(isinstance(v, tuple) for v in keys.values()):
         raise ParameterError(f"--fast changes nothing for {what}")
-    if getattr(args, "jobs", None) is not None and kind != "ssm":
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and kind != "ssm":
         raise ParameterError(f"--jobs is not read by {what}")
+    if jobs is not None and jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {jobs}")
     if cfg.get("risk_method") == "exact":    # which draws no test set
         keys = {k: v for k, v in keys.items() if k != "n_test_sets"}
         what += " under exact risk"
@@ -149,6 +168,15 @@ def _load_config(args) -> dict:
     if kind_key:
         cfg[kind_key] = kind
     cfg = {**defaults, **cfg}
+    for key, bounds in _BOUNDS.items():
+        for op, bound in bounds if key in cfg else ():
+            limit, named = bound, bound
+            if isinstance(bound, str):
+                limit = cfg.get(bound)
+                named = f"{bound} ({limit})"
+            if limit is not None and not _COMPARE[op](cfg[key], limit):
+                raise ParameterError(f"{key} must be {op} {named}, got "
+                                     f"{cfg[key]}")
     # eta tempers only interior emissions, the mixture weight only module 2
     for key, least in (("d_x", 3), ("n2", 1)):
         if name != "simulate" and cfg.get(key, least) < least:
@@ -161,8 +189,7 @@ def _load_config(args) -> dict:
 
 def _check_study(cfg: dict, kind: str) -> None:
     """The J ladder of mixture-concentration and nested-check, and the
-    (eta, b) bounds and sampler budget of nested-check: values that a
-    type does not settle."""
+    (eta, b) bounds of nested-check: values that a type does not settle."""
     ladder = cfg["J_ladder"]
     least = 2 if kind == "mixture-concentration" else 1   # a slope needs two
     if not (len(ladder) >= least
@@ -182,11 +209,6 @@ def _check_study(cfg: dict, kind: str) -> None:
             raise ParameterError(f"{key} must be two finite numbers lo < hi "
                                  f"with lo {'>' if lo_positive else '>='} 0, "
                                  f"got {lohi}")
-    burn_in = hypercal.NESTED_BURN_IN
-    if cfg["n_outer"] <= burn_in or cfg["inner_len"] < 1:
-        raise ParameterError(f"n_outer must exceed the burn-in of {burn_in} "
-                             f"and inner_len must be >= 1, got "
-                             f"{cfg['n_outer']} and {cfg['inner_len']}")
 
 
 def _fail(code: int, msg: str) -> int:
@@ -340,8 +362,6 @@ def _nested_check(cfg: dict, out: Path) -> int:
     """The (eta, b) posterior of the state-space example built two ways,
     the splined lattice and the nested sampler, for each calibration size
     J: writes both, and prints the two-sample KS distance per axis."""
-    from scipy.stats import ks_2samp
-
     ladder = cfg["J_ladder"]
     bounds = [cfg["eta_bounds"], cfg["b_bounds"]]
     seed = cfg["seed"]
@@ -365,11 +385,28 @@ def _nested_check(cfg: dict, out: Path) -> int:
         print(f"J={J} ({time.time() - t0:.0f}s, outer accept {acc:.2f}):",
               file=sys.stderr)
         for ax, name in enumerate(("eta", "b")):
-            ks = ks_2samp(nd[:, ax], gsamp[:, ax]).statistic
+            ks = _ks_distance(nd[:, ax], gsamp[:, ax])
             print(f"  {name}: KS distance {ks:.4f} "
                   f"(nested mean {nd[:, ax].mean():.3f}, "
                   f"grid mean {gsamp[:, ax].mean():.3f})")
     return EXIT_OK
+
+
+def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b| of non-empty
+    samples, as scipy 1.17's ks_2samp(a, b).statistic computes it: both
+    empirical CDFs at every pooled value, and, in its exact mode (neither
+    sample above 10,000), rounded to a multiple of 1 / lcm(n1, n2)."""
+    a, b = np.sort(a), np.sort(b)
+    n1, n2 = len(a), len(b)
+    pooled = np.concatenate([a, b])
+    diff = (np.searchsorted(a, pooled, side="right") / n1
+            - np.searchsorted(b, pooled, side="right") / n2)
+    d = max(min(max(-diff.min(), 0.0), 1.0), diff.max())
+    if max(n1, n2) <= 10000:
+        lcm = n1 // math.gcd(n1, n2) * n2
+        d = round(d * lcm) / lcm
+    return float(d)
 
 
 def cmd_risk_ratio(cfg: dict, out: Path, args) -> int:

@@ -4,15 +4,17 @@ The workhorse is a lattice of hyperparameter values with a log predictive
 score per point (pooled: joint density of all calibration data; product: sum
 of pointwise densities), splined and normalized into a density.  A 1-d
 lattice is splined by the natural cubic interpolant below, which gives the
-same bits as scipy's CubicSpline without importing scipy.interpolate (and
-with it scipy.optimize and scipy.linalg); the 2-d lattice and the
-minimum-KL smoothing spline use scipy, imported when they are called.  The
-spline is evaluated on a fine grid once per posterior, when it is built:
-those values give both the normalizer and the density that every summary
-reads.  A nested Metropolis sampler provides an off-lattice alternative.
-Four point estimators summarize a lattice posterior: mean, mode, harmonic
-mean and minimum-KL; the harmonic mean and minimum-KL summaries are 1-d
-only.
+same bits as scipy's CubicSpline, and a 2-d lattice by the tensor product
+of not-a-knot cubic interpolants, which is scipy's interpolating
+RectBivariateSpline to round-off.  Both are numpy, so neither imports
+scipy.interpolate (and with it scipy.optimize, scipy.linalg, scipy.sparse
+and scipy.spatial); only the minimum-KL smoothing spline does, when it is
+called.  The spline is evaluated on a fine grid once per posterior, when
+it is built: those values give both the normalizer and the density that
+every summary reads.  A nested Metropolis sampler provides an off-lattice
+alternative.  Four point estimators summarize a lattice posterior: mean,
+mode, harmonic mean and minimum-KL; the harmonic mean and minimum-KL
+summaries are 1-d only.
 """
 
 from __future__ import annotations
@@ -80,12 +82,10 @@ class _NaturalCubicSpline:
     """Natural cubic interpolant through (x, y), x strictly increasing.
 
     A transcription of scipy 1.17.1's CubicSpline(x, y, bc_type="natural")
-    that gives the same bits (de Boor, A Practical Guide to Splines): the knot
-    slopes solve the same tridiagonal system, eliminated as LAPACK's dgtsv
-    does; the Hermite coefficients c (4, n-1) and the evaluation order
-    c3 + c2*s + c1*s*s + c0*s*s*s are scipy's.  Beyond the knots the end
-    cubics extrapolate.  A scalar is evaluated on Python floats, which is
-    several times faster than numpy for one point.
+    that gives the same bits: _cubic_coefficients computes its Hermite
+    coefficients c (4, n-1) and _cubic evaluates them in scipy's order.
+    Beyond the knots the end cubics extrapolate.  A scalar is evaluated on
+    Python floats, which is several times faster than numpy for one point.
     """
 
     def __init__(self, x, y):
@@ -94,42 +94,123 @@ class _NaturalCubicSpline:
         if len(x) < 2:
             raise ParameterError("a spline needs at least 2 finite lattice "
                                  f"points, got {len(x)}")
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        # row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1],
-        # and zero second derivative at both ends
-        diag = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]),
-                               [2 * dx[-1]]))
-        upper = np.concatenate((dx[:1], dx[:-1]))
-        lower = np.concatenate((dx[1:], dx[-1:]))
-        rhs = np.concatenate(([3 * (y[1] - y[0])],
-                              3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-                              [3 * (y[-1] - y[-2])]))
-        s = np.array(_gtsv(lower.tolist(), diag.tolist(), upper.tolist(),
-                           rhs.tolist()))
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
-        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        self.c = _cubic_coefficients(x, y, natural=True)
         self._x_list = x.tolist()
         self._c_rows = self.c.T.tolist()
 
     def __call__(self, t):
         if np.ndim(t) == 0:
             return self._at(float(t))
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0,
-                    len(self.x) - 2)
-        s = t - self.x[i]
-        c0, c1, c2, c3 = self.c[:, i]
-        # scipy's sum starts from 0.0, which turns a -0.0 into 0.0
-        return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        i, s = _cells(self.x, np.asarray(t, dtype=float))
+        return _cubic(self.c[:, i], s)
 
     def _at(self, t: float) -> float:
-        xs = self._x_list
-        i = min(max(bisect.bisect_right(xs, t) - 1, 0), len(xs) - 2)
-        c0, c1, c2, c3 = self._c_rows[i]
-        s = t - xs[i]
-        return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        i = _cell(self._x_list, t)
+        return _cubic(self._c_rows[i], t - self._x_list[i])
+
+
+class _BicubicSpline:
+    """Tensor product of not-a-knot cubic interpolants through the lattice
+    values z (len(x), len(y)).
+
+    This is the function that scipy's RectBivariateSpline(x, y, z, kx=3,
+    ky=3, s=0) fits, to round-off: FITPACK's interpolating knots are the
+    lattice points but the second and the second-to-last on each axis,
+    which is the not-a-knot end condition (Dierckx 1993, Curve and Surface
+    Fitting with Splines).  Each x-row is fitted along y; each of its
+    Hermite coefficients is then fitted along x, which gives bicubic
+    coefficients c (4, 4, nx-1, ny-1) per cell: x power, y power, x cell,
+    y cell.  Called with two 1-d arrays, it evaluates their grid (as
+    scipy's __call__ does) in two 1-d passes, x then y; ev evaluates at
+    points, on Python floats for two floats.  Beyond the lattice the end
+    cubics extrapolate.
+    """
+
+    def __init__(self, x, y, z):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        cy = _cubic_coefficients(self.y, np.asarray(z, dtype=float).T,
+                                 natural=False)         # (4, ny-1, nx)
+        c = _cubic_coefficients(self.x, np.moveaxis(cy, -1, 0), natural=False)
+        self.c = np.ascontiguousarray(c.transpose(0, 2, 1, 3))
+        self._x_list, self._y_list = self.x.tolist(), self.y.tolist()
+        # per cell, per y power, the four x-power coefficients
+        self._cells = self.c.transpose(2, 3, 1, 0).tolist()
+
+    def __call__(self, x, y):
+        i, s = _cells(self.x, np.asarray(x, dtype=float))
+        along_x = _cubic(self.c[:, :, i], s[:, None])  # (y power, x, y cell)
+        j, t = _cells(self.y, np.asarray(y, dtype=float))
+        return _cubic(along_x[:, :, j], t)
+
+    def ev(self, x, y):
+        """Values at the points (x, y), which broadcast."""
+        if isinstance(x, float) and isinstance(y, float):
+            return self._at(float(x), float(y))
+        i, s = _cells(self.x, np.asarray(x, dtype=float))
+        j, t = _cells(self.y, np.asarray(y, dtype=float))
+        return _cubic(_cubic(self.c[:, :, i, j], s), t)
+
+    def _at(self, x: float, y: float) -> float:
+        i, j = _cell(self._x_list, x), _cell(self._y_list, y)
+        s = x - self._x_list[i]
+        return _cubic([_cubic(row, s) for row in self._cells[i][j]],
+                      y - self._y_list[j])
+
+
+def _cubic_coefficients(x: np.ndarray, y: np.ndarray,
+                        natural: bool) -> np.ndarray:
+    """Hermite coefficients (4, n-1, ...) of the cubic interpolant through
+    (x, y) along y's first axis, with natural or not-a-knot ends, as scipy
+    1.17.1's CubicSpline(x, y, bc_type) computes them (de Boor, A Practical
+    Guide to Splines): the knot slopes solve one tridiagonal system, with
+    one right-hand side per column of y, eliminated as LAPACK's dgtsv does.
+    Not-a-knot needs at least 4 points."""
+    dx = np.diff(x)
+    dxr = dx.reshape(-1, *[1] * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    # interior row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1];
+    # each end row is (its diagonal entry, its off-diagonal one, its rhs)
+    if natural:                 # zero second derivative at both ends
+        first = (2 * dx[0], dx[0], 3 * (y[1] - y[0]))
+        last = (2 * dx[-1], dx[-1], 3 * (y[-1] - y[-2]))
+    else:                       # a continuous third derivative at x[1], x[-2]
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        first = (dx[1], d0, ((dx[0] + 2 * d0) * dx[1] * slope[0]
+                             + dx[0] ** 2 * slope[1]) / d0)
+        last = (dx[-2], d1, (dx[-1] ** 2 * slope[-2]
+                             + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1)
+    rhs = np.concatenate(([first[2]],
+                          3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:]),
+                          [last[2]]))
+    s = np.array(_gtsv(np.concatenate((dx[1:], [last[1]])).tolist(),
+                       np.concatenate(([first[0]], 2 * (dx[:-1] + dx[1:]),
+                                       [last[0]])).tolist(),
+                       np.concatenate(([first[1]], dx[:-1])).tolist(),
+                       rhs.tolist() if y.ndim == 1 else list(rhs)))
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _cubic(c, s):
+    """c[3] + c[2] s + c[1] s^2 + c[0] s^3, summed in scipy's order; c
+    unpacks into its four coefficients along its first axis."""
+    c0, c1, c2, c3 = c
+    # scipy's sum starts from 0.0, which turns a -0.0 into 0.0
+    return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
+def _cell(knots: list, t: float) -> int:
+    """Index of the knot interval holding t, the end ones beyond the knots."""
+    return min(max(bisect.bisect_right(knots, t) - 1, 0), len(knots) - 2)
+
+
+def _cells(knots: np.ndarray, t: np.ndarray) -> tuple:
+    """_cell for an array: the interval indices, and t's offsets into them."""
+    i = np.clip(np.searchsorted(knots, t, side="right") - 1, 0,
+                len(knots) - 2)
+    return i, t - knots[i]
 
 
 def _gtsv(dl: list, d: list, du: list, b: list) -> list:
@@ -188,8 +269,7 @@ class GridPosterior:
         """Normalized log posterior density at arbitrary in-bounds points."""
         if self.grid.ndim == 1:
             return self._spline(coords[0]) - self._log_norm
-        x, y = (np.asarray(c, dtype=float) for c in coords)
-        return self._spline(x, y, grid=False) - self._log_norm
+        return self._spline.ev(*coords) - self._log_norm
 
     def normalization_check(self) -> float:
         return _fine_integral(*self._fine_density)
@@ -283,9 +363,7 @@ def grid_posterior_from_values(grid: SGrid, log_pred: np.ndarray,
     else:
         if not np.all(np.isfinite(log_post)):
             raise ParameterError("2-d grids need finite values at every point")
-        from scipy.interpolate import RectBivariateSpline
-        spline = RectBivariateSpline(grid.axes[0], grid.axes[1], log_post,
-                                     kx=3, ky=3, s=0)
+        spline = _BicubicSpline(grid.axes[0], grid.axes[1], log_post)
     n = _FINE_1D if grid.ndim == 1 else _FINE_2D
     axes = tuple(np.linspace(a[0], a[-1], n) for a in grid.axes)
     values = spline(*axes)

@@ -252,27 +252,33 @@ def test_flag_that_changes_nothing_rejected(tmp_path, capsys, argv, cfg, flag):
     # nested-check budgets: an outer chain within the burn-in, no side steps
     ("study", {"kind": "nested-check", "n_outer": 10}, []),
     ("study", {"kind": "nested-check", "inner_len": 0}, ["--fast"]),
+    # lattices of fewer than four points, an empty eta range, a weight
+    # outside [0, 1], and negative or zero sample sizes
+    ("calibrate", {"grid_points": 2}, []),
+    ("study", {"kind": "mixture-concentration", "grid_points": 3}, []),
+    ("calibrate", {"eta_upper": -1.0}, []),
+    ("study", {"eta_upper": 0.0, "n_replicates": 1, "n_test_sets": 1}, []),
+    ("simulate", {"lambda_star": 2.0}, []),
+    ("calibrate", {"kind": "mixture", "lambda_star": 1.5}, []),
+    ("calibrate", {"kind": "mixture", "lambda_star": -0.5}, []),
+    ("study", {"kind": "mixture-concentration", "lambda_star": 1.01}, []),
+    ("simulate", {"kind": "mixture", "n1": -1}, []),
+    ("simulate", {"kind": "ssm", "n_blocks": 0}, []),
+    ("risk-ratio", {"n_total_blocks": 0}, []),
 ])
 def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
     """A value must fit the type of its key's default (an int is a float, a
     bool is not a number), seed must be non-negative, a hyperparameter
-    finite, a count positive and the data non-empty; nothing is coerced
-    and nothing but the resolved config is written.  A non-finite value,
-    a J ladder, (eta, b) bounds and a nested-check budget are checked as
-    the config is resolved: they exit 2 under --dry-run too, and nothing
-    is written."""
+    finite, a count positive, a lattice at least four points, a weight in
+    [0, 1] and the data non-empty; nothing is coerced.  Every value is
+    checked as the config is resolved: it exits 2 under --dry-run too, and
+    nothing is written."""
     path, out = tmp_path / "cfg.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
-    resolved = (any(isinstance(v, float) and not np.isfinite(v)
-                    for v in cfg.values())
-                or cfg.keys() & {"J_ladder", "eta_bounds", "b_bounds",
-                                 "n_outer", "inner_len"})
-    for dry in (["--dry-run"], []) if resolved else ([],):
+    for dry in (["--dry-run"], []):
         assert main([command, "--config", str(path), "--out", str(out)]
                     + flags + dry) == EXIT_CONFIG
-    if resolved:
-        assert not out.exists()
-    assert {p.suffix for p in out.glob("*")} <= {".json"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -723,12 +729,12 @@ def test_resolved_config_records_defaults_and_replays(tmp_path, command, given,
 
 def test_cli_runs_without_scipy_stats(tmp_path):
     """Importing the CLI, calibrating (ssm and mixture), fast studies with
-    both risk methods, risk-ratio and simulating (every kind) load none of
-    scipy.stats, scipy.interpolate, scipy.optimize and scipy.linalg: the
-    1-d spline is in-house, and the scipy modules are imported only where
-    the conjugate oracle, the 2-d spline, the minimum-KL smoothing and the
-    AGHQ mode search need them.  The laplace-aghq suite still loads no
-    scipy.stats.
+    both risk methods, a tiny nested-check study, risk-ratio and simulating
+    (every kind) load none of scipy.stats, scipy.interpolate,
+    scipy.optimize and scipy.linalg: the 1-d and 2-d splines and the KS
+    distance are in-house, and the scipy modules are imported only where
+    the conjugate oracle, the minimum-KL smoothing and the AGHQ mode search
+    need them.  The laplace-aghq suite still loads no scipy.stats.
     Run in a fresh interpreter: other test modules import scipy."""
     code = textwrap.dedent(f"""
         import json, sys
@@ -753,6 +759,7 @@ def test_cli_runs_without_scipy_stats(tmp_path):
                 ("calibrate", {{"kind": "mixture", "J": 100}}),
                 ("study", study),
                 ("study", exact),
+                ("study", {{"kind": "nested-check", "J_ladder": [3]}}),
                 ("risk-ratio", {{"n_total_blocks": 20, "test_blocks": 10,
                                  "n_test_sets": 2}}),
                 ("simulate", {{"kind": "mixture"}}),
@@ -772,6 +779,28 @@ def test_cli_runs_without_scipy_stats(tmp_path):
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_ks_distance_matches_scipy_ks_2samp():
+    """nested-check's KS distance is scipy's ks_2samp statistic: with ties
+    within and across the samples, unequal sizes, one sample inside the
+    other, nested-check's own sizes (rounded to a multiple of
+    1 / lcm(n1, n2)) and a sample above 10,000 (not rounded)."""
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(23)
+    sizes = [(1, 1), (1, 7), (13, 5), (50, 6000), (3800, 6000), (10001, 40)]
+    sizes += [tuple(rng.integers(1, 400, 2)) for _ in range(40)]
+    for k, (n1, n2) in enumerate(sizes):
+        a = rng.normal(size=n1)
+        b = rng.normal(0.2, 1.3, size=n2)
+        if k % 2:                                       # ties
+            a, b = np.round(a, 1), np.round(b, 1)
+        if k % 5 == 4:                                  # b inside a
+            b = a[: max(1, n1 // 3)].copy()
+        want = ks_2samp(a, b).statistic
+        assert cli._ks_distance(a, b) == pytest.approx(want, rel=1e-12,
+                                                       abs=1e-12)
 
 
 @pytest.mark.parametrize("suite", ["conjugate", "mixture", "laplace-aghq"])

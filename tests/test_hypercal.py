@@ -5,7 +5,8 @@ from scipy.special import gammaln
 
 from gbcal.datasets import ParameterError, SsmTruth, simulate_ssm
 from gbcal.hypercal import (_FINE_1D, _FINE_2D, NESTED_BURN_IN, SGrid,
-                            _gtsv, _NaturalCubicSpline, _reflect,
+                            _BicubicSpline, _gtsv, _NaturalCubicSpline,
+                            _reflect,
                             compute_estimator_set, estimate_posterior_mode,
                             grid_posterior_from_values,
                             harmonic_mean_estimator, kl_estimator, nested_mcmc,
@@ -91,10 +92,8 @@ def test_fine_density_cached_once_and_equal_to_fresh_evaluation(monkeypatch):
     is built, for the 1-d and the 2-d lattice, however many summaries read
     the density; the density is read-only and equal to evaluating the
     spline afresh."""
-    from scipy.interpolate import RectBivariateSpline
-
     fine_calls = []
-    for cls in (_NaturalCubicSpline, RectBivariateSpline):
+    for cls in (_NaturalCubicSpline, _BicubicSpline):
         def counted(self, *args, _cls=cls, _call=cls.__call__, **kwargs):
             if np.size(args[0]) in (_FINE_1D, _FINE_2D):
                 fine_calls.append(_cls)
@@ -109,7 +108,7 @@ def test_fine_density_cached_once_and_equal_to_fresh_evaluation(monkeypatch):
     for gp in (gp1, gp2):
         gp.normalization_check(), gp.sd(), gp.sample(10, seed=0)
         compute_estimator_set(gp)
-    assert fine_calls == [_NaturalCubicSpline, RectBivariateSpline]
+    assert fine_calls == [_NaturalCubicSpline, _BicubicSpline]
     for gp in (gp1, gp2):
         axes, dens = gp._fine_density
         assert gp._fine_density[1] is dens
@@ -201,6 +200,45 @@ def test_natural_spline_matches_scipy_cubic_spline():
             assert isinstance(sp(v), float)
             close(sp(v), ref(v))
             close(sp(np.float64(v)), ref(v))
+
+
+def test_bicubic_spline_matches_scipy_rect_bivariate_spline():
+    """The 2-d interpolant is scipy's RectBivariateSpline(kx=3, ky=3, s=0)
+    to round-off, on the fine grid of its posterior, at points and at
+    scalars, for uniform, non-uniform and 4-point axes; it passes through
+    the lattice values."""
+    from scipy.interpolate import RectBivariateSpline
+
+    rng = np.random.default_rng(23)
+    axes = [(np.linspace(0.05, 1.0, 9), np.linspace(0.25, 1.0, 9)),
+            (np.linspace(0.0, 1.0, 4), np.linspace(0.5, 2.0, 4)),
+            (np.geomspace(0.01, 1.0, 7), np.linspace(0.25, 1.0, 4)),
+            (np.array([0.0, 0.1, 0.4, 0.5, 0.6, 0.7, 1.3]),
+             np.linspace(0.0, 2.0, 11) + rng.uniform(-0.05, 0.05, 11))]
+    for x, y in axes:
+        for _ in range(10):
+            z = (rng.normal(size=(len(x), len(y)))
+                 - 40.0 * (x[:, None] - 0.5) ** 2 - 10.0 * y[None, :] ** 2)
+            ref = RectBivariateSpline(x, y, z, kx=3, ky=3, s=0)
+            sp = _BicubicSpline(x, y, z)
+            fx, fy = (np.linspace(a[0], a[-1], _FINE_2D) for a in (x, y))
+            want = ref(fx, fy)
+            scale = np.max(np.abs(want))
+
+            def close(got, want):
+                np.testing.assert_allclose(got, want, rtol=1e-13,
+                                           atol=1e-13 * scale)
+
+            close(sp(fx, fy), want)
+            close(sp(x, y), z)
+            px = rng.uniform(x[0], x[-1], (5, 20))
+            py = rng.uniform(y[0], y[-1], 20)
+            close(sp.ev(px, py), ref.ev(px, np.broadcast_to(py, px.shape)))
+            for u, v in [(x[0], y[0]), (x[-1], y[-1]), (x[1], y[-2]),
+                         (px[0, 0], py[0])]:
+                got = sp.ev(float(u), float(v))
+                assert type(got) is float
+                close(got, ref.ev(u, v))
 
 
 def test_gtsv_pivots_like_lapack():
