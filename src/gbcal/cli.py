@@ -90,10 +90,12 @@ _BOUNDS = {
                      "n_total_blocks", "n_blocks", "J", "table_n_rep",
                      "inner_len"), ((">=", 1),)),
     **dict.fromkeys(("n1", "n2", "n"), ((">=", 0),)),
+    **dict.fromkeys(("eta1", "eta2"), ((">=", 0),)),
     "grid_points": ((">=", 4),), "eta_upper": ((">", 0),),
     "n_outer": ((">", hypercal.NESTED_BURN_IN),),
     "n_train_blocks": ((">=", 1), ("<", "n_total_blocks")),
-    "lambda_star": ((">=", 0), ("<=", 1)),
+    "lambda_star": ((">=", 0), ("<=", 1)), "phi_M_star": ((">", 0),),
+    "d_x": ((">=", 2),),                # two anchors per block
 }
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt,
             "<=": operator.le}
@@ -107,9 +109,9 @@ def _load_config(args) -> dict:
     without such a pair, --jobs for a study kind other than ssm, a key the
     command and kind do not read (n_test_sets under exact risk), a value
     whose type does not fit its key's default or that is not one of its
-    key's _CHOICES or _BOUNDS, a negative seed, --jobs below 1 and data
-    the weight cannot act on raise a ParameterError; no value is
-    coerced."""
+    key's _CHOICES or _BOUNDS, an eta_upper above 1 under family gamma, a
+    negative seed, --jobs below 1 and data the weight cannot act on raise
+    a ParameterError; no value is coerced."""
     cfg = {}
     name = args.command.replace("-", "_")
     if args.config:
@@ -168,6 +170,12 @@ def _load_config(args) -> dict:
     if kind_key:
         cfg[kind_key] = kind
     cfg = {**defaults, **cfg}
+    # eta tempers only interior emissions, the mixture weight only module 2;
+    # the looser _BOUNDS below are what simulate needs
+    for key, least in (("d_x", 3), ("n2", 1)):
+        if name != "simulate" and cfg.get(key, least) < least:
+            raise ParameterError(f"{key} must be >= {least} for the calibrated "
+                                 f"weight to change anything, got {cfg[key]}")
     for key, bounds in _BOUNDS.items():
         for op, bound in bounds if key in cfg else ():
             limit, named = bound, bound
@@ -177,11 +185,10 @@ def _load_config(args) -> dict:
             if limit is not None and not _COMPARE[op](cfg[key], limit):
                 raise ParameterError(f"{key} must be {op} {named}, got "
                                      f"{cfg[key]}")
-    # eta tempers only interior emissions, the mixture weight only module 2
-    for key, least in (("d_x", 3), ("n2", 1)):
-        if name != "simulate" and cfg.get(key, least) < least:
-            raise ParameterError(f"{key} must be >= {least} for the calibrated "
-                                 f"weight to change anything, got {cfg[key]}")
+    if cfg.get("family") == "gamma" and cfg["eta_upper"] > 1:
+        raise ParameterError("eta_upper must be <= 1 under family gamma, "
+                             f"whose weight lies in [0, 1], got "
+                             f"{cfg['eta_upper']}")
     if "J_ladder" in cfg:                    # the study kinds' own checks
         _check_study(cfg, kind)
     return cfg

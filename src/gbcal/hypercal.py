@@ -9,17 +9,19 @@ of not-a-knot cubic interpolants, which is scipy's interpolating
 RectBivariateSpline to round-off.  Both are numpy, so neither imports
 scipy.interpolate (and with it scipy.optimize, scipy.linalg, scipy.sparse
 and scipy.spatial); only the minimum-KL smoothing spline does, when it is
-called.  The spline is evaluated on a fine grid once per posterior, when
-it is built: those values give both the normalizer and the density that
-every summary reads.  A nested Metropolis sampler provides an off-lattice
-alternative.  Four point estimators summarize a lattice posterior: mean,
-mode, harmonic mean and minimum-KL; the harmonic mean and minimum-KL
-summaries are 1-d only.
+called.  Each spline has one evaluation path, on numpy arrays.  It is
+evaluated on a fine grid once per posterior, when it is built: those
+values give both the normalizer and the density that every summary reads.
+A nested Metropolis sampler provides an off-lattice alternative.  Four
+point estimators summarize a lattice posterior: mean, mode, harmonic mean
+and minimum-KL; the harmonic mean and minimum-KL summaries are 1-d only.
+The mode is read from the spline's cubic pieces near the fine-grid argmax:
+in 1-d the smallest candidate within _TIE_TOL of their maximum (so short of
+it on a flat stretch), in 2-d the exact line maximum along each axis.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -84,8 +86,7 @@ class _NaturalCubicSpline:
     A transcription of scipy 1.17.1's CubicSpline(x, y, bc_type="natural")
     that gives the same bits: _cubic_coefficients computes its Hermite
     coefficients c (4, n-1) and _cubic evaluates them in scipy's order.
-    Beyond the knots the end cubics extrapolate.  A scalar is evaluated on
-    Python floats, which is several times faster than numpy for one point.
+    Beyond the knots the end cubics extrapolate.
     """
 
     def __init__(self, x, y):
@@ -96,18 +97,14 @@ class _NaturalCubicSpline:
                                  f"points, got {len(x)}")
         self.x = x
         self.c = _cubic_coefficients(x, y, natural=True)
-        self._x_list = x.tolist()
-        self._c_rows = self.c.T.tolist()
 
     def __call__(self, t):
-        if np.ndim(t) == 0:
-            return self._at(float(t))
         i, s = _cells(self.x, np.asarray(t, dtype=float))
         return _cubic(self.c[:, i], s)
 
-    def _at(self, t: float) -> float:
-        i = _cell(self._x_list, t)
-        return _cubic(self._c_rows[i], t - self._x_list[i])
+    def pieces(self, axis, point):
+        """The knots and cubic pieces (4, n-1): its own, on its one axis."""
+        return self.x, self.c
 
 
 class _BicubicSpline:
@@ -123,8 +120,7 @@ class _BicubicSpline:
     coefficients c (4, 4, nx-1, ny-1) per cell: x power, y power, x cell,
     y cell.  Called with two 1-d arrays, it evaluates their grid (as
     scipy's __call__ does) in two 1-d passes, x then y; ev evaluates at
-    points, on Python floats for two floats.  Beyond the lattice the end
-    cubics extrapolate.
+    points.  Beyond the lattice the end cubics extrapolate.
     """
 
     def __init__(self, x, y, z):
@@ -134,9 +130,6 @@ class _BicubicSpline:
                                  natural=False)         # (4, ny-1, nx)
         c = _cubic_coefficients(self.x, np.moveaxis(cy, -1, 0), natural=False)
         self.c = np.ascontiguousarray(c.transpose(0, 2, 1, 3))
-        self._x_list, self._y_list = self.x.tolist(), self.y.tolist()
-        # per cell, per y power, the four x-power coefficients
-        self._cells = self.c.transpose(2, 3, 1, 0).tolist()
 
     def __call__(self, x, y):
         i, s = _cells(self.x, np.asarray(x, dtype=float))
@@ -146,17 +139,18 @@ class _BicubicSpline:
 
     def ev(self, x, y):
         """Values at the points (x, y), which broadcast."""
-        if isinstance(x, float) and isinstance(y, float):
-            return self._at(float(x), float(y))
         i, s = _cells(self.x, np.asarray(x, dtype=float))
         j, t = _cells(self.y, np.asarray(y, dtype=float))
         return _cubic(_cubic(self.c[:, :, i, j], s), t)
 
-    def _at(self, x: float, y: float) -> float:
-        i, j = _cell(self._x_list, x), _cell(self._y_list, y)
-        s = x - self._x_list[i]
-        return _cubic([_cubic(row, s) for row in self._cells[i][j]],
-                      y - self._y_list[j])
+    def pieces(self, axis: int, point):
+        """The knots and cubic pieces (4, n-1) of the spline along one axis
+        through point (x, y); along y they give ev's values bit for bit."""
+        if axis == 0:
+            j, t = _cells(self.y, np.asarray(point[1], dtype=float))
+            return self.x, _cubic(self.c[:, :, :, j].swapaxes(0, 1), t)
+        i, s = _cells(self.x, np.asarray(point[0], dtype=float))
+        return self.y, _cubic(self.c[:, :, i], s)
 
 
 def _cubic_coefficients(x: np.ndarray, y: np.ndarray,
@@ -201,13 +195,8 @@ def _cubic(c, s):
     return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
 
-def _cell(knots: list, t: float) -> int:
-    """Index of the knot interval holding t, the end ones beyond the knots."""
-    return min(max(bisect.bisect_right(knots, t) - 1, 0), len(knots) - 2)
-
-
 def _cells(knots: np.ndarray, t: np.ndarray) -> tuple:
-    """_cell for an array: the interval indices, and t's offsets into them."""
+    """Each t's knot interval (the end ones beyond the knots), and offset."""
     i = np.clip(np.searchsorted(knots, t, side="right") - 1, 0,
                 len(knots) - 2)
     return i, t - knots[i]
@@ -476,35 +465,44 @@ def compute_estimator_set(gp: GridPosterior) -> EstimatorSet:
 
 
 def estimate_posterior_mode(gp: GridPosterior) -> HyperPoint:
-    """Fine-grid argmax with golden-section refinement along each axis.
-
-    Near-ties resolve toward the smallest first-axis value, which prefers
-    the less informative update.  A boundary mode is returned as-is.
-    """
+    """The spline's maximum next to the fine-grid argmax, taken by _line_max
+    over the fine points either side: once in 1-d, and in 2-d in three
+    rounds along each axis in turn.  In 1-d candidates within _TIE_TOL of
+    the maximum resolve toward the smallest, the less informative update.
+    A boundary mode is returned as-is."""
     axes, dens = gp._fine_density
     flat = dens.ravel()
-    near = np.where(flat >= flat.max() * (1 - _TIE_TOL))[0]
-    idx = near.min()
-    if gp.grid.ndim == 1:
-        x = axes[0]
-        i = idx
-        lo = x[max(i - 1, 0)]
-        hi = x[min(i + 1, len(x) - 1)]
-        best = golden_max(lambda t: gp.log_density(t), lo, hi)
-        # refinement must not move off a flat stretch or a grid maximum
-        if gp.log_density(x[i]) >= gp.log_density(best) - _TIE_TOL and x[i] < best:
-            best = float(x[i])
-        return gp.to_hyperpoint([best])
-    ix, iy = np.unravel_index(idx, dens.shape)
-    cx, cy = float(axes[0][ix]), float(axes[1][iy])
-    for _ in range(3):
-        lo = axes[0][max(ix - 1, 0)]
-        hi = axes[0][min(ix + 1, len(axes[0]) - 1)]
-        cx = golden_max(lambda t: gp.log_density(t, cy), lo, hi)
-        lo = axes[1][max(iy - 1, 0)]
-        hi = axes[1][min(iy + 1, len(axes[1]) - 1)]
-        cy = golden_max(lambda t: gp.log_density(cx, t), lo, hi)
-    return gp.to_hyperpoint([cx, cy])
+    start = np.unravel_index(
+        np.where(flat >= flat.max() * (1 - _TIE_TOL))[0].min(), dens.shape)
+    point = [float(a[i]) for a, i in zip(axes, start)]
+    rounds, tol = (1, _TIE_TOL) if gp.grid.ndim == 1 else (3, 0.0)
+    for _ in range(rounds):
+        for axis, (a, i) in enumerate(zip(axes, start)):
+            bracket = a[[max(i - 1, 0), min(i + 1, len(a) - 1)]]
+            point[axis] = _line_max(*gp._spline.pieces(axis, point), bracket,
+                                    point[axis], tol)
+    return gp.to_hyperpoint(point)
+
+
+def _line_max(knots, c, bracket, start: float, tol: float) -> float:
+    """The smallest point of bracket [lo, hi] within tol of the maximum there
+    of the piecewise cubic (knots, c), among the points that can hold it:
+    start, lo, hi, the knots between, and each piece's real stationary
+    points clipped to its cell.  Those are the roots q / a and d / q, with
+    q = -(b + sign(b) sqrt(b^2 - 4 a d)) / 2, of a s^2 + b s + d = 3 c0 s^2
+    + 2 c1 s + c2, which do not cancel as the textbook formula does."""
+    i, j = _cells(knots, bracket)[0]
+    edges = np.concatenate(([bracket[0]], knots[i + 1:j + 1], [bracket[1]]))
+    c0, c1, d = c[:3, i:j + 1]
+    a, b = 3 * c0, 2 * c1
+    with np.errstate(divide="ignore", invalid="ignore"):   # no real root
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4 * a * d), b))
+        roots = np.clip(knots[i:j + 1] + np.stack((q / a, d / q)),
+                        edges[:-1], edges[1:])
+    t = np.concatenate(([start], edges, roots[~np.isnan(roots)]))
+    k, s = _cells(knots, t)
+    v = _cubic(c[:, k], s)
+    return float(t[v >= v.max() - tol].min())
 
 
 def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:

@@ -265,12 +265,21 @@ def test_flag_that_changes_nothing_rejected(tmp_path, capsys, argv, cfg, flag):
     ("simulate", {"kind": "mixture", "n1": -1}, []),
     ("simulate", {"kind": "ssm", "n_blocks": 0}, []),
     ("risk-ratio", {"n_total_blocks": 0}, []),
+    # a noise scale that is not positive, a negative learning rate, a block
+    # without its two anchors, and a weight grid beyond [0, 1]
+    ("calibrate", {"phi_M_star": -1.0}, []),
+    ("study", {"kind": "nested-check", "phi_M_star": 0.0}, ["--fast"]),
+    ("risk-ratio", {"eta1": -0.5}, []),
+    ("simulate", {"kind": "ssm", "d_x": 1}, []),
+    ("calibrate", {"kind": "mixture", "family": "gamma", "eta_upper": 2.0},
+     []),
 ])
 def test_bad_config_value_rejected(tmp_path, command, cfg, flags):
     """A value must fit the type of its key's default (an int is a float, a
     bool is not a number), seed must be non-negative, a hyperparameter
     finite, a count positive, a lattice at least four points, a weight in
-    [0, 1] and the data non-empty; nothing is coerced.  Every value is
+    [0, 1], a learning rate non-negative, a noise scale positive and the
+    data non-empty; nothing is coerced.  Every value is
     checked as the config is resolved: it exits 2 under --dry-run too, and
     nothing is written."""
     path, out = tmp_path / "cfg.json", tmp_path / "out"
@@ -301,11 +310,13 @@ def test_non_finite_truth_named_before_any_warning(tmp_path, capsys, value):
     ("study", {"kind": "nested-check", "d_x": 2}),
     ("calibrate", {"kind": "mixture", "n2": 0}),
     ("study", {"kind": "mixture-concentration", "n2": 0}),
+    ("calibrate", {"d_x": 1}),
 ])
 def test_data_the_weight_cannot_act_on_named_before_any_draw(
         tmp_path, capsys, monkeypatch, command, cfg):
     """d_x < 3 leaves eta no interior emission, n2 = 0 leaves the mixture
-    weight no module-2 point: exit 2 naming the key, before any draw."""
+    weight no module-2 point: exit 2 naming the key and the bound the
+    weight needs (not simulate's looser d_x >= 2), before any draw."""
     def no_draw(*args, **kwargs):
         raise AssertionError("simulated before the config was checked")
 
@@ -315,8 +326,9 @@ def test_data_the_weight_cannot_act_on_named_before_any_draw(
     path.write_text(json.dumps(cfg))
     assert main([command, "--config", str(path),
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    key = next(k for k in ("d_x", "n2") if k in cfg)
-    assert capsys.readouterr().err.startswith(f"error: {key} must be >= ")
+    key, least = next(kl for kl in (("d_x", 3), ("n2", 1)) if kl[0] in cfg)
+    assert capsys.readouterr().err.startswith(
+        f"error: {key} must be >= {least} for the calibrated weight")
 
 
 @pytest.mark.parametrize("command, cfg, choices", [

@@ -145,6 +145,31 @@ def test_mode_tie_breaks_toward_smaller_values():
     assert estimate_posterior_mode(gp).eta == pytest.approx(0.0, abs=1e-6)
 
 
+def test_mode_reaches_the_spline_maximum():
+    """The mode is read from the spline's cubic pieces, not a search's
+    approach to their maximum: a boundary mode is its bound exactly, and at
+    a clear interior peak, off the fine grid or centred on a knot, the
+    spline is no lower at the mode than anywhere in the bracket."""
+    grid = SGrid.regular([(0.0, 1.0)], ["eta"], 41)
+    for slope, bound in ((5.0, 1.0), (-5.0, 0.0)):
+        gp = grid_posterior_from_values(grid, slope * grid.axes[0],
+                                        np.zeros(41))
+        assert estimate_posterior_mode(gp).eta == bound
+    grid = SGrid.regular([(0.0, 1.0), (0.5, 2.0)], ["eta", "b"], 9)
+    pts = grid.points()
+    gp = grid_posterior_from_values(grid, 3.0 * pts[:, 0] + 2.0 * pts[:, 1],
+                                    np.zeros(len(pts)))
+    mode = estimate_posterior_mode(gp)
+    assert (mode.eta, mode.b) == (1.0, 2.0)
+    for mu in (0.410123, 0.45):        # off the fine grid; on knot 18 of 41
+        gp = gaussian_grid_posterior(mu=mu)
+        (x,), dens = gp._fine_density
+        i = int(np.argmax(dens))
+        bracket = np.linspace(x[i - 1], x[i + 1], 10001)
+        at_mode = gp.log_density(np.array(estimate_posterior_mode(gp).eta))
+        assert at_mode >= gp.log_density(bracket).max() - 1e-15
+
+
 def test_mean_mode_consistency_on_skewed_density():
     grid = SGrid.regular([(0.0, 1.0)], ["eta"], 41)
     x = grid.axes[0]
@@ -236,9 +261,7 @@ def test_bicubic_spline_matches_scipy_rect_bivariate_spline():
             close(sp.ev(px, py), ref.ev(px, np.broadcast_to(py, px.shape)))
             for u, v in [(x[0], y[0]), (x[-1], y[-1]), (x[1], y[-2]),
                          (px[0, 0], py[0])]:
-                got = sp.ev(float(u), float(v))
-                assert type(got) is float
-                close(got, ref.ev(u, v))
+                close(sp.ev(float(u), float(v)), ref.ev(u, v))
 
 
 def test_gtsv_pivots_like_lapack():
