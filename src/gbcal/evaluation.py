@@ -167,9 +167,15 @@ def _ssm_eta_posterior(train, calib, truth, grid: SGrid, kind: str) -> GridPoste
 
 
 def run_ssm_replicate(config: SsmStudyConfig, r: int):
-    """One replicate of the state-space study; safe to run in a worker."""
-    rs = np.random.SeedSequence(config.seed).spawn(config.n_replicates)[r] \
-        .generate_state(4)
+    """One replicate of the state-space study; safe to run in a worker.
+
+    A fresh block is scored only through its anchor residual sum
+    r = 2 phi_A*^2 u, u a standard exponential (see
+    _ssm_exact_block_integrals).  Exact risk scores the refit rows at the
+    Laguerre nodes u; simulated risk at (n_test_sets, test_blocks) draws
+    of u, so no test set is built.
+    """
+    rs = np.random.SeedSequence(config.seed, spawn_key=(r,)).generate_state(4)
     grid = SGrid.regular([(0.0, config.eta_upper)], ["eta"], config.grid_points)
     full = simulate_ssm(config.truth, config.n_total_blocks, config.d_x,
                         int(rs[0]))
@@ -184,9 +190,7 @@ def run_ssm_replicate(config: SsmStudyConfig, r: int):
                                    [eta_hat] + [e for _, e in refs])
 
     if config.risk_method == "exact":
-        # every row's block scores at the Laguerre residuals, shape (3, 64)
-        u, _ = _laguerre_rule()
-        scores = refits.scores(2.0 * config.truth.phi_A_star ** 2 * u)
+        u = _laguerre_rule()[0]
 
         def report(s1, s2, scores1, scores2):
             log_r, mean_log_r = _ssm_exact_block_integrals(scores1, scores2)
@@ -196,12 +200,11 @@ def run_ssm_replicate(config: SsmStudyConfig, r: int):
                 mean_log_ratio=j * mean_log_r, n_test_sets=0,
                 per_set_log_ratios=np.empty(0), mc_se=0.0)
     else:
-        tests = [simulate_ssm(config.truth, config.test_blocks, config.d_x,
-                              int(rs[2]) + 1000 * k)
-                 for k in range(config.n_test_sets)]
-        # every row's per-block scores of each test set, (3, n_sets, blocks)
-        scores = refits.test_set_log_predictive(tests)
+        u = np.random.default_rng(int(rs[2])).standard_exponential(
+            (config.n_test_sets, config.test_blocks))
         report = risk_ratio_product
+    # every row's block scores: (3, 64) exact, (3, n_sets, blocks) simulated
+    scores = refits.scores(2.0 * config.truth.phi_A_star ** 2 * u)
     return est, {name: report(eta_hat, eta_ref, scores[0], scores[i])
                  for i, (name, eta_ref) in enumerate(refs, 1)}
 
@@ -212,9 +215,9 @@ def ssm_replicate_study(config: SsmStudyConfig, jobs: int = 1) -> ReplicateStudy
 
     Risk ratios use the posterior mean of the chosen calibration kind as
     the data-driven estimate, compared against eta=1 (ordinary update) and
-    eta=0 (anchors only).  Test sets are fresh realisations of the truth;
-    with risk_method "exact" the test-set expectation is computed by
-    quadrature over the anchor-residual distribution instead of simulation.
+    eta=0 (anchors only).  Test sets are fresh anchor residuals drawn from
+    the truth's law; with risk_method "exact" the test-set expectation is
+    computed by quadrature over that law instead.
     Replicates are independently seeded, so jobs > 1 changes nothing but
     wall time.
     """

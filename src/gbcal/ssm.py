@@ -173,13 +173,6 @@ class SsmPhiPosterior:
             raise ParameterError(f"kind must be pooled or product, got {kind!r}")
         return np.sum(self.block_log_predictive(y), axis=-1)
 
-    def test_set_log_predictive(self, tests) -> np.ndarray:
-        """Per-block log predictive densities of equally sized test sets
-        under each row, shape (E, n_sets, blocks)."""
-        if not tests:
-            raise ParameterError("need at least one test set")
-        return self.scores(np.stack([anchor_residuals(z) for z in tests]))
-
 
 def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth,
                           etas) -> SsmPhiPosterior:

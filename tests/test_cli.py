@@ -673,9 +673,10 @@ def test_risk_ratio_matches_one_lattice_per_eta(tmp_path):
     full = datasets.simulate_ssm(truth, 12, 6, 2)
     posts = {eta: ssm.build_ssm_phi_posterior(full, truth, eta)
              for eta in (0.3, 1.0)}
-    tests = [datasets.simulate_ssm(truth, 20, 6, 2 + 7000 + k)
-             for k in range(4)]
-    scores = {eta: np.array([post.block_log_predictive(z) for z in tests])
+    # fresh anchor residuals r = 2 phi_A*^2 u, u ~ Exp(1), one row per set
+    r = 2.0 * truth.phi_A_star ** 2 * np.random.default_rng(
+        2 + 7000).standard_exponential((4, 20))
+    scores = {eta: np.array([post.scores(z) for z in r])
               for eta, post in posts.items()}
     rep = evaluation.risk_ratio_product(0.3, 1.0, scores[0.3], scores[1.0])
     want = json.dumps({"s1": rep.s1, "s2": rep.s2, "value": rep.value,

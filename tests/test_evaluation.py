@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from gbcal.evaluation import (SsmStudyConfig, _laguerre_rule,
                               ssm_replicate_study)
 from gbcal.hypercal import SGrid, grid_posterior_from_values
 from gbcal.sampling import ar1_bridge
-from gbcal.ssm import (_FINE, anchor_pair_log_predictive,
+from gbcal.ssm import (_FINE, anchor_pair_log_predictive, anchor_residuals,
                        build_ssm_phi_lattice, build_ssm_phi_posterior)
 
 
@@ -333,24 +334,74 @@ def test_run_ssm_replicate_outputs():
 
 @pytest.mark.parametrize("risk_kind", ["product", "pooled"])
 def test_replicate_scores_match_set_by_set_scoring(risk_kind):
-    """Each refit scores all test sets' anchor pairs in one call; the
-    per-set log ratios equal scoring every test set on its own."""
+    """Each refit scores all test sets' anchor residuals in one call; the
+    per-set log ratios equal scoring every test set on its own.  A test
+    set is test_blocks residuals r = 2 phi_A*^2 u, u ~ Exp(1), drawn from
+    the replicate's third seed."""
     cfg = fast_config(n_test_sets=4, kind=risk_kind,
-                      truth=SsmTruth(phi_M_star=0.5))
+                      truth=SsmTruth(phi_A_star=0.8, phi_M_star=0.5))
     est, reports = run_ssm_replicate(cfg, 1)
     rs = np.random.SeedSequence(cfg.seed).spawn(cfg.n_replicates)[1] \
         .generate_state(4)
     full = simulate_ssm(cfg.truth, cfg.n_total_blocks, cfg.d_x, int(rs[0]))
-    tests = [simulate_ssm(cfg.truth, cfg.test_blocks, cfg.d_x,
-                          int(rs[2]) + 1000 * k)
-             for k in range(cfg.n_test_sets)]
+    u = np.random.default_rng(int(rs[2])).standard_exponential(
+        (cfg.n_test_sets, cfg.test_blocks))
+    tests = 2.0 * cfg.truth.phi_A_star ** 2 * u
     eta_hat = est.mean.eta
     refits = build_ssm_phi_lattice(full, cfg.truth, [eta_hat, 1.0, 0.0])
     for name, i in (("mean_vs_bayes", 1), ("mean_vs_cut", 2)):
-        ref = [float(np.sum(refits.row(0).block_log_predictive(z))
-                     - np.sum(refits.row(i).block_log_predictive(z)))
+        ref = [float(np.sum(refits.row(0).scores(z))
+                     - np.sum(refits.row(i).scores(z)))
                for z in tests]
         assert np.array_equal(reports[name].per_set_log_ratios, ref)
+
+
+def test_replicate_seeds_are_the_spawned_children():
+    """Replicate r seeds itself from SeedSequence(seed, spawn_key=(r,)),
+    which is bitwise child r of SeedSequence(seed).spawn(n) for every
+    r < n, so no replicate builds the other n - 1 children."""
+    for seed in (0, 7, 2 ** 40):
+        for n in (1, 20, 100):
+            kids = np.random.SeedSequence(seed).spawn(n)
+            for r in range(n):
+                one = np.random.SeedSequence(seed, spawn_key=(r,))
+                assert np.array_equal(one.generate_state(4),
+                                      kids[r].generate_state(4))
+
+
+@pytest.mark.parametrize("phi_A_star,seed", [(1.0, 2501), (0.6, 2502)])
+def test_simulated_anchor_residuals_are_exponential(phi_A_star, seed):
+    """The law both risk methods score a fresh block under: the anchor
+    residual sums of simulate_ssm, over 20,000 blocks, divided by
+    2 phi_A*^2, match the Exp(1) CDF.  The bound is the one-sample KS
+    critical value at level 0.001, 1.949 / sqrt(n)."""
+    truth = SsmTruth(phi_A_star=phi_A_star, phi_M_star=0.7)
+    n = 20000
+    data = simulate_ssm(truth, n, 6, seed=seed)
+    u = np.sort(anchor_residuals(data) / (2.0 * phi_A_star ** 2))
+    cdf = -np.expm1(-u)
+    i = np.arange(1, n + 1)
+    d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+    assert d < 1.949 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("phi_M_star", [0.5, 1.0])
+def test_simulated_risk_agrees_with_exact(phi_M_star):
+    """On the study --fast replicates, with 200 test sets, each simulated
+    mean log ratio lies within 4 standard errors of the exact one, and
+    both methods share eta-hat."""
+    sim = SsmStudyConfig(truth=SsmTruth(phi_M_star=phi_M_star),
+                         n_replicates=20, n_test_sets=200, seed=0)
+    exact = dataclasses.replace(sim, risk_method="exact")
+    for r in (0, 1):
+        est_s, rep_s = run_ssm_replicate(sim, r)
+        est_e, rep_e = run_ssm_replicate(exact, r)
+        assert est_s.mean.eta == est_e.mean.eta
+        for name, rep in rep_s.items():
+            se = np.std(rep.per_set_log_ratios, ddof=1) / np.sqrt(200)
+            z = (rep.mean_log_ratio - rep_e[name].mean_log_ratio) / se
+            assert abs(z) < 4.0, (r, name, rep.mean_log_ratio,
+                                  rep_e[name].mean_log_ratio, se)
 
 
 def test_replicate_study_deterministic_and_serializable(tmp_path):

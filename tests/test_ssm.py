@@ -225,21 +225,22 @@ def test_one_eta_posterior_is_a_lattice_row():
 
 
 def test_lattice_block_predictive_matches_rows():
-    """A lattice scores each row bitwise as that row alone: block, test-set
-    and pooled scores."""
+    """A lattice scores each row bitwise as that row alone: block, stacked
+    (test set, block) residual and pooled scores."""
     data, truth = small_data(n_blocks=12, seed=11, phi_M_star=0.5)
     tests = [small_data(n_blocks=7, seed=s, phi_M_star=0.5)[0]
              for s in (12, 13, 14)]
     calib = tests[0]
     lattice = build_ssm_phi_lattice(data, truth, [0.0, 0.25, 1.0, 3.0])
     per = lattice.block_log_predictive(calib)
-    sets = lattice.test_set_log_predictive(tests)
+    r_sets = np.stack([anchor_residuals(z) for z in tests])
+    sets = lattice.scores(r_sets)
     pooled = lattice.log_predictive(calib, "pooled")
     assert per.shape == (4, 7) and sets.shape == (4, 3, 7)
     for i in range(4):
         row = lattice.row(i)
         assert np.array_equal(per[i], row.block_log_predictive(calib))
-        assert np.array_equal(sets[i], row.test_set_log_predictive(tests))
+        assert np.array_equal(sets[i], row.scores(r_sets))
         assert pooled[i] == row.log_predictive(calib, "pooled")
 
 
