@@ -34,6 +34,7 @@ from .sampling import adapt_log_scale, metropolis_accept
 _FINE_1D = 4001
 _FINE_2D = 301
 _TIE_TOL = 1e-9         # relative density gap below which modes tie
+_MODE_STEP = 1e-13      # a round that moves the 2-d mode less is its last
 _KL_CANDIDATES = 41     # candidate values scored by kl_estimator
 NESTED_BURN_IN = 200    # adaptive outer steps that nested_mcmc drops
 
@@ -466,21 +467,24 @@ def compute_estimator_set(gp: GridPosterior) -> EstimatorSet:
 
 def estimate_posterior_mode(gp: GridPosterior) -> HyperPoint:
     """The spline's maximum next to the fine-grid argmax, taken by _line_max
-    over the fine points either side: once in 1-d, and in 2-d in three
-    rounds along each axis in turn.  In 1-d candidates within _TIE_TOL of
-    the maximum resolve toward the smallest, the less informative update.
-    A boundary mode is returned as-is."""
+    over the fine points either side: once in 1-d, in 2-d along each axis in
+    turn until a round moves less than _MODE_STEP.  In 1-d candidates within
+    _TIE_TOL of the maximum resolve toward the smallest, the less
+    informative update.  A boundary mode is returned as-is."""
     axes, dens = gp._fine_density
     flat = dens.ravel()
     start = np.unravel_index(
         np.where(flat >= flat.max() * (1 - _TIE_TOL))[0].min(), dens.shape)
     point = [float(a[i]) for a, i in zip(axes, start)]
-    rounds, tol = (1, _TIE_TOL) if gp.grid.ndim == 1 else (3, 0.0)
+    rounds, tol = (1, _TIE_TOL) if gp.grid.ndim == 1 else (100, 0.0)
     for _ in range(rounds):
+        last = list(point)
         for axis, (a, i) in enumerate(zip(axes, start)):
             bracket = a[[max(i - 1, 0), min(i + 1, len(a) - 1)]]
             point[axis] = _line_max(*gp._spline.pieces(axis, point), bracket,
                                     point[axis], tol)
+        if max(abs(p - q) for p, q in zip(point, last)) < _MODE_STEP:
+            break
     return gp.to_hyperpoint(point)
 
 

@@ -8,6 +8,8 @@ nodes at the integrand's mode and curvature.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import logsumexp
 
@@ -21,6 +23,13 @@ def _chol_or_raise(mat: np.ndarray) -> np.ndarray:
         eig = np.linalg.eigvalsh(mat)
         raise ParameterError(
             f"matrix is not positive definite (eigenvalues {eig})")
+
+
+@functools.cache
+def hermite_rule(n: int):
+    """n Gauss-Hermite nodes z and log w + z^2, their log weights on dz."""
+    z, w = np.polynomial.hermite.hermgauss(n)
+    return z, np.log(w) + z * z
 
 
 def laplace_marginal(neg_log_joint, theta_mode, hessian, n_obs: int,
@@ -68,15 +77,13 @@ def aghq_marginal(log_integrand, dim: int, k_points: int = 5,
     # A = H^{-1/2} so that theta = mode + sqrt(2) A z maps the Hermite weight
     A = np.linalg.inv(Lh.T)
     logdetA = -np.sum(np.log(np.diag(Lh)))
-    nodes, weights = np.polynomial.hermite.hermgauss(k_points)
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-    z = np.stack([g.ravel() for g in grids], axis=1)            # (k^d, d)
-    wgrids = np.meshgrid(*([weights] * dim), indexing="ij")
-    logw = np.sum([np.log(w.ravel()) for w in wgrids], axis=0)  # (k^d,)
+    nodes, log_w = hermite_rule(k_points)
+    idx = np.indices((k_points,) * dim).reshape(dim, -1).T     # (k^d, d)
+    z, log_w = nodes[idx], np.sum(log_w[idx], axis=1)
     theta = mode + np.sqrt(2.0) * z @ A.T
     logf = np.array([log_integrand(t if dim > 1 else t[0]) for t in theta])
     return float(0.5 * dim * np.log(2.0) + logdetA
-                 + logsumexp(logf + logw + np.sum(z * z, axis=1)))
+                 + logsumexp(logf + log_w))
 
 
 def _numeric_hessian(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

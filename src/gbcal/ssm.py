@@ -10,28 +10,30 @@ variables.
 For the plain likelihood case the auxiliaries integrate out exactly: the
 interior emissions given the anchors are Gaussian with an AR(1)-bridge
 covariance inflated by phi^2/eta, leaving a one-dimensional phi^2 posterior
-that we evaluate on an adaptive grid.  The beta-loss case has no closed form
-and is sampled by MCMC over (log phi^2, interior latents).
+integrated by an adaptive Gauss-Hermite rule.  The beta-loss case has no
+closed form and is sampled by MCMC over (log phi^2, interior latents).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
 from .datasets import ParameterError, SsmDataset, SsmTruth
+from .oracles.quadrature import hermite_rule
 from .sampling import ar1_bridge
 
 _LOG_2PI = np.log(2.0 * np.pi)
-# log grid on which each phi^2 posterior is first located
-_COARSE = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 500))
-# log-spaced nodes on which each located posterior is then refined.  The
-# trapezoid rule in log phi^2 converges geometrically on the window, whose
-# ends sit 45 nats under the peak: at eta in [0, 2] it reaches round-off
-# by 81 nodes.
-_FINE = 101
+# each phi^2 row's mode: the best of these x = log phi^2 points, then
+# _NEWTON finite-difference Newton steps of at most one spacing
+_SCAN = np.linspace(np.log(1e-6), np.log(1e6), 40)
+_NEWTON = 4
+# Gauss-Hermite nodes per row: the fewest at which the product score is
+# within 1e-10 relative of an untruncated trapezoid at eta <= 1
+_NODES = 28
 # initial Metropolis proposal scale of the (eta, b) lattice chains and of the
 # nested sampler's side-chain tuning run, which then freezes one per chain
 _SCALE_INIT = 0.3
@@ -135,18 +137,20 @@ def ssm_log_posterior_phi2(phi2, data: SsmDataset, truth: SsmTruth,
 
 @dataclass(frozen=True)
 class SsmPhiPosterior:
-    """Normalized phi^2 posteriors of one dataset, each on its own log grid
-    of _FINE points: row i of phi2 and log_weights, shape (E, _FINE), is the
+    """Normalized phi^2 posteriors of one dataset, each on its own rule of
+    _NODES points: row i of phi2 and log_weights, shape (E, _NODES), is the
     posterior at etas[i].  A single posterior, row(i), drops the eta axis.
     This class alone scores held-out anchor pairs against them."""
 
     etas: np.ndarray          # (E,), or a scalar for a single posterior
-    phi2: np.ndarray          # C-ordered grids, increasing along the last axis
-    log_weights: np.ndarray   # log quadrature weights; each row sums to ~1
+    phi2: np.ndarray          # C-ordered nodes, increasing along the last axis
+    log_weights: np.ndarray   # log quadrature weights; each row sums to 1
+    log_density: Callable     # f(phi2, etas): the rows' unnormalized log density
+    log_norm: np.ndarray      # log of each row's integral of exp(f)
 
     def row(self, i: int) -> SsmPhiPosterior:
-        return SsmPhiPosterior(etas=self.etas[i], phi2=self.phi2[i],
-                               log_weights=self.log_weights[i])
+        return replace(self, etas=self.etas[i], phi2=self.phi2[i],
+                       log_weights=self.log_weights[i], log_norm=self.log_norm[i])
 
     def scores(self, r, n_pairs: int = 1) -> np.ndarray:
         """Log predictive density of n_pairs anchor pairs with residual sum
@@ -164,42 +168,52 @@ class SsmPhiPosterior:
 
     def log_predictive(self, y: SsmDataset, kind: str) -> np.ndarray:
         """Calibration log predictive of y under each row, shape (E,):
-        "pooled" scores the joint density of all anchor pairs, "product"
-        sums the per-block densities."""
+        "pooled" scores the joint density of all anchor pairs on a rule of
+        its own, "product" sums the per-block densities."""
         if kind == "pooled":
-            r = anchor_residuals(y)
-            return self.scores(np.sum(r), len(r))
+            rss, n = np.sum(anchor_residuals(y)), y.n_blocks
+            out = _hermite_rows(
+                lambda t, etas: (self.log_density(t, etas) - 0.5 * rss / t
+                                 - n * np.log(2.0 * np.pi * t)),
+                np.atleast_1d(self.etas))[2] - self.log_norm
+            return out if np.ndim(self.etas) else out[0]
         if kind != "product":
             raise ParameterError(f"kind must be pooled or product, got {kind!r}")
         return np.sum(self.block_log_predictive(y), axis=-1)
 
 
+def _hermite_rows(f, etas: np.ndarray):
+    """Gauss-Hermite rules at the mode and curvature in x = log phi^2 of
+    each row of exp(f(phi^2, etas)) (Naylor & Smith 1982): nodes (E, _NODES)
+    in phi^2, their normalized log weights, and each row's log integral."""
+    def g(x):
+        return f(np.exp(x), etas) + x
+    x = _SCAN[np.argmax(g(np.tile(_SCAN, (len(etas), 1))), axis=1)]
+    spacing, h = _SCAN[1] - _SCAN[0], 1e-4
+    for _ in range(_NEWTON):
+        lo, mid, hi = g(x[:, None] + np.array([-h, 0.0, h])).T
+        d1, d2 = (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / (h * h)
+        x = x + d1 / np.maximum(-d2, np.abs(d1) / spacing)
+    z, log_w = hermite_rule(_NODES)
+    scale = np.sqrt(-2.0 / d2)[:, None]
+    x = x[:, None] + scale * z
+    log_w = g(x) + log_w
+    m = np.max(log_w, axis=1, keepdims=True)
+    log_sum = m + np.log(np.sum(np.exp(log_w - m), axis=1, keepdims=True))
+    return np.exp(x), log_w - log_sum, (log_sum + np.log(scale))[:, 0]
+
+
 def build_ssm_phi_lattice(data: SsmDataset, truth: SsmTruth,
                           etas) -> SsmPhiPosterior:
-    """Locate each eta's phi^2 posterior on a coarse log grid, then refine
-    it on its own log grid of _FINE points; all etas at once."""
+    """Each eta's phi^2 posterior on its own adaptive Gauss-Hermite rule in
+    log phi^2; all etas at once."""
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if not np.all(np.isfinite(etas) & (etas >= 0)):
         raise ParameterError("eta must be finite and nonnegative")
     log_post = _tempered_log_marginal(data, truth)
-    n = len(_COARSE)
-    lp = np.broadcast_to(log_post(_COARSE[None, :], etas), (len(etas), n))
-    keep = lp > np.max(lp, axis=1, keepdims=True) - 45.0
-    first = np.argmax(keep, axis=1)
-    last = n - 1 - np.argmax(keep[:, ::-1], axis=1)
-    lo = _COARSE[np.maximum(first - 1, 0)]
-    hi = _COARSE[np.minimum(last + 1, n - 1)]
-    # C order: each score reduces over a row's contiguous _FINE nodes
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), _FINE, axis=1),
-                  order="C")
-    lp = log_post(grid, etas)
-    lp -= np.max(lp, axis=1, keepdims=True)
-    norm = np.trapezoid(np.exp(lp), grid, axis=1)
-    # np.gradient doubles the trapezoid weight at the two ends, which sit
-    # 45 nats or more under the peak (unless the window reaches an end of
-    # _COARSE), so each row's weights still sum to ~1
-    log_w = lp - np.log(norm)[:, None] + np.log(np.gradient(grid, axis=1))
-    return SsmPhiPosterior(etas=etas, phi2=grid, log_weights=log_w)
+    phi2, log_w, log_norm = _hermite_rows(log_post, etas)
+    return SsmPhiPosterior(etas=etas, phi2=phi2, log_weights=log_w,
+                           log_density=log_post, log_norm=log_norm)
 
 
 def build_ssm_phi_posterior(data: SsmDataset, truth: SsmTruth,

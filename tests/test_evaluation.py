@@ -14,8 +14,9 @@ from gbcal.evaluation import (SsmStudyConfig, _laguerre_rule,
                               ssm_replicate_study)
 from gbcal.hypercal import SGrid, grid_posterior_from_values
 from gbcal.sampling import ar1_bridge
-from gbcal.ssm import (_FINE, anchor_pair_log_predictive, anchor_residuals,
-                       build_ssm_phi_lattice, build_ssm_phi_posterior)
+from gbcal.ssm import (_NODES, anchor_pair_log_predictive, anchor_residuals,
+                       build_ssm_phi_lattice, build_ssm_phi_posterior,
+                       ssm_log_posterior_phi2)
 
 
 def _set_scores(pred, s, tests):
@@ -176,11 +177,35 @@ def test_exact_block_integrals_match_adaptive_quadrature(phi_m, seed, etas):
         assert got[1] == pytest.approx(expected_log, abs=1e-9)
 
 
-def _per_eta_log_pred(train, calib, truth, eta, kind):
-    """Calibration log predictive at one eta, computed independently of the
-    eta-vectorised lattice: the closed-form phi^2 marginal with its own
-    bridge eigendecomposition, located on a 500-point log grid and refined
-    on the program's _FINE points, then scored with scipy's logsumexp."""
+# the untruncated reference: the trapezoid rule in x = log phi^2 on 200,001
+# nodes over [1e-8, 1e8], far past every posterior's and score's mass
+_X_REF = np.linspace(np.log(1e-8), np.log(1e8), 200001)
+
+
+def _reference_scores(log_post, r, n_pairs=1):
+    """log predictive density of n_pairs anchor pairs with residual sum of
+    squares r, for each r, under the posterior exp(log_post(phi2)), both
+    integrals by the untruncated reference, scored with scipy's
+    logsumexp."""
+    t = np.exp(_X_REF)
+    log_w = log_post(t) + _X_REF
+    log_w[[0, -1]] -= np.log(2.0)
+    log_w -= logsumexp(log_w)
+    return np.array([logsumexp(log_w - n_pairs * np.log(2.0 * np.pi * t)
+                               - ri / (2.0 * t)) for ri in np.atleast_1d(r)])
+
+
+def _reference_calibration(log_post, calib, kind):
+    r = anchor_residuals(calib)
+    if kind == "pooled":
+        return float(_reference_scores(log_post, np.sum(r), len(r))[0])
+    return float(np.sum(_reference_scores(log_post, r)))
+
+
+def _closed_form_log_post(train, truth, eta):
+    """The phi^2 marginal at one eta, computed independently of the
+    eta-vectorised lattice: the closed form with its own bridge
+    eigendecomposition."""
     from scipy.special import gammaln
 
     w_left, w_right, _, V = ar1_bridge(truth, train.d_x)
@@ -204,73 +229,58 @@ def _per_eta_log_pred(train, calib, truth, eta, kind):
                        - 0.5 * np.sum(S / ridge, axis=1))
         return lp
 
-    coarse = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 500))
-    lp = log_post(coarse)
-    keep = np.where(lp > np.max(lp) - 45.0)[0]
-    t = np.exp(np.linspace(np.log(coarse[max(keep[0] - 1, 0)]),
-                           np.log(coarse[min(keep[-1] + 1, 499)]), _FINE))
-    lp = log_post(t)
-    lp -= np.max(lp)
-    log_w = lp - np.log(np.trapezoid(np.exp(lp), t)) + np.log(np.gradient(t))
-    r = np.sum((calib.x_anchor - calib.theta_anchor) ** 2, axis=1)
-    if kind == "pooled":
-        return float(logsumexp(log_w - len(r) * np.log(2 * np.pi * t)
-                               - np.sum(r) / (2 * t)))
-    per = -np.log(2 * np.pi * t)[None, :] - r[:, None] / (2 * t)[None, :]
-    return float(np.sum(logsumexp(per + log_w[None, :], axis=1)))
+    return log_post
 
 
 @pytest.mark.parametrize("kind", ["product", "pooled"])
 def test_eta_lattice_matches_per_eta_reference(kind):
-    truth = SsmTruth(phi_M_star=0.5)
-    full = simulate_ssm(truth, 60, 6, seed=8)
-    train, calib = split_ssm_blocks(full, 10, 9)
-    etas = np.array([0.0, 0.5, 20.0, 100.0, 1000.0])
+    """The calibration scores of the eta lattice against the untruncated
+    reference of the closed-form marginal at each eta, at three interior
+    scales.  The pooled score has a rule of its own and matches at every
+    eta up to 1000, where the posterior sits far from the calibration
+    anchors' scale; the product score shares the posterior's nodes, which
+    past eta = 5 miss the anchors' mass (ROADMAP item 7), so it is checked
+    at eta <= 1."""
+    etas = np.array([0.0, 0.5, 2.0, 5.0, 20.0, 100.0, 1000.0])
+    check = etas <= (1.0 if kind == "product" else np.inf)
     grid = SGrid(axes=(etas,), names=("eta",))
-    got = _ssm_eta_posterior(train, calib, truth, grid, kind).log_pred
-    ref = np.array([_per_eta_log_pred(train, calib, truth, e, kind)
-                    for e in etas])
-    assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
-
-
-def _refined(lattice, data, truth, n):
-    """lattice's phi^2 windows, each on n log-spaced trapezoid nodes."""
-    from gbcal.ssm import SsmPhiPosterior, _tempered_log_marginal
-
-    t = np.exp(np.linspace(np.log(lattice.phi2[:, 0]),
-                           np.log(lattice.phi2[:, -1]), n, axis=1))
-    lp = _tempered_log_marginal(data, truth)(t, lattice.etas)
-    lp -= np.max(lp, axis=1, keepdims=True)
-    norm = np.trapezoid(np.exp(lp), t, axis=1)
-    log_w = lp - np.log(norm)[:, None] + np.log(np.gradient(t, axis=1))
-    return SsmPhiPosterior(etas=lattice.etas, phi2=t, log_weights=log_w)
+    for phi_m, seed in ((0.5, 8), (0.3, 30), (2.0, 32)):
+        truth = SsmTruth(phi_M_star=phi_m)
+        full = simulate_ssm(truth, 60, 6, seed=seed)
+        train, calib = split_ssm_blocks(full, 10, seed + 1)
+        got = _ssm_eta_posterior(train, calib, truth, grid, kind).log_pred
+        ref = [_reference_calibration(_closed_form_log_post(train, truth, e),
+                                      calib, kind) for e in etas[check]]
+        assert np.allclose(got[check], ref, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("phi_m, seed", [(0.5, 8), (1.0, 3), (2.0, 5)])
-def test_phi_lattice_converged_against_6401_nodes(phi_m, seed):
-    """The trapezoid rule in log phi^2 converges geometrically on each
-    eta's window, whose ends sit 45 nats under the peak: at eta in [0, 2]
-    the program's nodes agree with 6,401 nodes on the same windows up to
-    round-off, in the calibration scores and in the exact-risk integrals of
-    the pooled-data refits."""
+def test_phi_lattice_matches_untruncated_reference(phi_m, seed):
+    """At eta in [0, 2] the _NODES-point rows match the untruncated
+    reference to round-off: in both calibration scores, and in the
+    exact-risk integrals of the pooled-data refits."""
     truth = SsmTruth(phi_M_star=phi_m)
     full = simulate_ssm(truth, 60, 6, seed=seed)
     train, calib = split_ssm_blocks(full, 10, seed + 1)
     etas = [0.0, 0.25, 0.5, 1.0, 2.0]
     lattice = build_ssm_phi_lattice(train, truth, etas)
-    assert lattice.phi2.shape == (len(etas), _FINE)
-    fine = _refined(lattice, train, truth, 6401)
+    assert lattice.phi2.shape == (len(etas), _NODES)
     for kind in ("product", "pooled"):
-        assert np.allclose(lattice.log_predictive(calib, kind),
-                           fine.log_predictive(calib, kind),
+        ref = [_reference_calibration(
+            lambda t: ssm_log_posterior_phi2(t, train, truth, e), calib, kind)
+            for e in etas]
+        assert np.allclose(lattice.log_predictive(calib, kind), ref,
                            rtol=1e-10, atol=0.0)
     refits = build_ssm_phi_lattice(full, truth, etas)
-    fine = _refined(refits, full, truth, 6401)
+    r = 2.0 * _laguerre_rule()[0]
+    ref = [_reference_scores(
+        lambda t: ssm_log_posterior_phi2(t, full, truth, e), r) for e in etas]
     for i in range(len(etas)):
         for j in (0, 3):                    # against the cut and plain Bayes
-            got = _exact_integrals(refits.row(i), refits.row(j))
-            ref = _exact_integrals(fine.row(i), fine.row(j))
-            assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+            got = _ssm_exact_block_integrals(refits.row(i).scores(r),
+                                             refits.row(j).scores(r))
+            assert np.allclose(got, _ssm_exact_block_integrals(ref[i], ref[j]),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_exact_risk_method_replicate():
