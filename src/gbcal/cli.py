@@ -419,15 +419,15 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
 def cmd_risk_ratio(cfg: dict, out: Path, args) -> int:
     """Expected predictive ratio of the posteriors at eta1 and eta2, refit
     on one simulated dataset, over n_test_sets test sets of test_blocks
-    fresh anchor residuals, drawn as in evaluation.run_ssm_replicate."""
-    seed, eta1, eta2 = cfg["seed"], cfg["eta1"], cfg["eta2"]
+    fresh anchor residuals, scored by evaluation.fresh_block_reports."""
+    seed = cfg["seed"]
     truth = SsmTruth(phi_M_star=cfg["phi_M_star"])
     full = datasets.simulate_ssm(truth, cfg["n_total_blocks"], cfg["d_x"], seed)
-    lattice = ssm.build_ssm_phi_lattice(full, truth, [eta1, eta2])
     u = np.random.default_rng(seed + 7000).standard_exponential(
         (cfg["n_test_sets"], cfg["test_blocks"]))
-    rep = evaluation.risk_ratio_product(
-        eta1, eta2, *lattice.scores(2.0 * truth.phi_A_star ** 2 * u))
+    rep = evaluation.fresh_block_reports(
+        full, truth, [cfg["eta1"], cfg["eta2"]], {"eta1_vs_eta2": (0, 1)},
+        cfg["test_blocks"], u)["eta1_vs_eta2"]
     with open(out / "risk_ratio.json", "w") as fh:
         json.dump({"s1": rep.s1, "s2": rep.s2, "value": rep.value,
                    "mean_log_ratio": rep.mean_log_ratio,

@@ -23,13 +23,21 @@ from .ssm import build_ssm_phi_posterior  # noqa: F401
 
 @dataclass(frozen=True)
 class RiskRatioReport:
-    s1: float | tuple
-    s2: float | tuple
+    s1: float
+    s2: float
     value: float                 # expected predictive ratio per test set
     mean_log_ratio: float        # expected log ratio (ELPPD difference)
-    n_test_sets: int
-    per_set_log_ratios: np.ndarray
-    mc_se: float
+    per_set_log_ratios: np.ndarray   # finite ones; empty under exact risk
+
+    @property
+    def n_test_sets(self) -> int:
+        return len(self.per_set_log_ratios)
+
+    @property
+    def mc_se(self) -> float:    # of value; 0.0 below two test sets
+        n = self.n_test_sets
+        return float(np.std(np.exp(self.per_set_log_ratios), ddof=1)
+                     / np.sqrt(n)) if n > 1 else 0.0
 
 
 def risk_ratio_product(s1, s2, scores1, scores2) -> RiskRatioReport:
@@ -47,12 +55,10 @@ def risk_ratio_product(s1, s2, scores1, scores2) -> RiskRatioReport:
     if not np.all(ok):
         warnings.warn(f"{int((~ok).sum())} test sets dropped (non-finite ratio)")
         log_ratios = log_ratios[ok]
-    ratios = np.exp(log_ratios)
-    se = float(np.std(ratios, ddof=1) / np.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
-    return RiskRatioReport(s1=s1, s2=s2, value=float(np.mean(ratios)),
+    return RiskRatioReport(s1=s1, s2=s2,
+                           value=float(np.mean(np.exp(log_ratios))),
                            mean_log_ratio=float(np.mean(log_ratios)),
-                           n_test_sets=len(ratios),
-                           per_set_log_ratios=log_ratios, mc_se=se)
+                           per_set_log_ratios=log_ratios)
 
 
 @functools.cache
@@ -80,19 +86,37 @@ def _ssm_exact_block_integrals(scores1, scores2) -> tuple[float, float]:
 
 
 def ssm_exact_block_log_ratio(post1, post2, anchor_var: float = 1.0) -> float:
-    """log of the expected per-block predictive ratio for fresh anchor pairs.
-
-    The expected ratio E[p1(block)/p2(block)] is a one-dimensional integral
-    over the chi-square(2) anchor residual (see _ssm_exact_block_integrals);
-    the expected product over a test set of j independent blocks is this
-    expectation raised to the power j.
-
-    This sidesteps the heavy right tail of the simulation estimator: near
-    equal predictive quality the expected ratio is 1 + c with c far below
-    the Monte Carlo error of any affordable number of simulated test sets.
-    """
+    """log E[p1/p2] per fresh block of anchor variance anchor_var (see
+    _ssm_exact_block_integrals)."""
     r = 2.0 * anchor_var * _laguerre_rule()[0]
     return _ssm_exact_block_integrals(post1.scores(r), post2.scores(r))[0]
+
+
+def fresh_block_reports(full, truth: SsmTruth, etas, comparisons: dict,
+                        test_blocks: int, u) -> dict:
+    """RiskRatioReport of each named pair (i, j) of comparisons: the
+    posteriors refit on full at etas[i] and etas[j], as rows of one lattice,
+    scored in one call at r = 2 phi_A*^2 u over test sets of test_blocks
+    fresh blocks.  u holds (n_test_sets, test_blocks) standard exponential
+    draws, or is None for exact risk: u the Laguerre nodes (see
+    _ssm_exact_block_integrals), and a set's expected ratio that of a block
+    to the power test_blocks.  This sidesteps the heavy right tail of the
+    simulated ratio, whose Monte Carlo error near equal predictive quality
+    is far above the expected ratio's distance from 1."""
+    exact = u is None
+    scores = build_ssm_phi_lattice(full, truth, etas).scores(
+        2.0 * truth.phi_A_star ** 2 * (_laguerre_rule()[0] if exact else u))
+    reports = {}
+    for name, (i, j) in comparisons.items():
+        if exact:
+            log_r, mean_log_r = _ssm_exact_block_integrals(scores[i], scores[j])
+            reports[name] = RiskRatioReport(
+                etas[i], etas[j], float(np.exp(test_blocks * log_r)),
+                test_blocks * mean_log_r, np.empty(0))
+        else:
+            reports[name] = risk_ratio_product(etas[i], etas[j], scores[i],
+                                               scores[j])
+    return reports
 
 
 # --- state-space replicate study ------------------------------------------
@@ -168,13 +192,7 @@ def _ssm_eta_posterior(train, calib, truth, grid: SGrid, kind: str) -> GridPoste
 
 def run_ssm_replicate(config: SsmStudyConfig, r: int):
     """One replicate of the state-space study; safe to run in a worker.
-
-    A fresh block is scored only through its anchor residual sum
-    r = 2 phi_A*^2 u, u a standard exponential (see
-    _ssm_exact_block_integrals).  Exact risk scores the refit rows at the
-    Laguerre nodes u; simulated risk at (n_test_sets, test_blocks) draws
-    of u, so no test set is built.
-    """
+    Simulated risk draws its u from the replicate's third seed."""
     rs = np.random.SeedSequence(config.seed, spawn_key=(r,)).generate_state(4)
     grid = SGrid.regular([(0.0, config.eta_upper)], ["eta"], config.grid_points)
     full = simulate_ssm(config.truth, config.n_total_blocks, config.d_x,
@@ -182,31 +200,13 @@ def run_ssm_replicate(config: SsmStudyConfig, r: int):
     train, calib = split_ssm_blocks(full, config.n_train_blocks, int(rs[1]))
     gp = _ssm_eta_posterior(train, calib, config.truth, grid, config.kind)
     est = compute_estimator_set(gp)
-    eta_hat = est.mean.eta
-    # refit at eta-hat and at each reference eta on the pooled data (all
-    # blocks), as the rows of one lattice; row i + 1 is refs[i]
-    refs = (("mean_vs_bayes", 1.0), ("mean_vs_cut", 0.0))
-    refits = build_ssm_phi_lattice(full, config.truth,
-                                   [eta_hat] + [e for _, e in refs])
-
-    if config.risk_method == "exact":
-        u = _laguerre_rule()[0]
-
-        def report(s1, s2, scores1, scores2):
-            log_r, mean_log_r = _ssm_exact_block_integrals(scores1, scores2)
-            j = config.test_blocks
-            return RiskRatioReport(
-                s1=s1, s2=s2, value=float(np.exp(j * log_r)),
-                mean_log_ratio=j * mean_log_r, n_test_sets=0,
-                per_set_log_ratios=np.empty(0), mc_se=0.0)
-    else:
-        u = np.random.default_rng(int(rs[2])).standard_exponential(
-            (config.n_test_sets, config.test_blocks))
-        report = risk_ratio_product
-    # every row's block scores: (3, 64) exact, (3, n_sets, blocks) simulated
-    scores = refits.scores(2.0 * config.truth.phi_A_star ** 2 * u)
-    return est, {name: report(eta_hat, eta_ref, scores[0], scores[i])
-                 for i, (name, eta_ref) in enumerate(refs, 1)}
+    u = None if config.risk_method == "exact" else np.random.default_rng(
+        int(rs[2])).standard_exponential((config.n_test_sets,
+                                          config.test_blocks))
+    return est, fresh_block_reports(
+        full, config.truth, [est.mean.eta, 1.0, 0.0],
+        {"mean_vs_bayes": (0, 1), "mean_vs_cut": (0, 2)}, config.test_blocks,
+        u)
 
 
 def ssm_replicate_study(config: SsmStudyConfig, jobs: int = 1) -> ReplicateStudy:
@@ -215,9 +215,7 @@ def ssm_replicate_study(config: SsmStudyConfig, jobs: int = 1) -> ReplicateStudy
 
     Risk ratios use the posterior mean of the chosen calibration kind as
     the data-driven estimate, compared against eta=1 (ordinary update) and
-    eta=0 (anchors only).  Test sets are fresh anchor residuals drawn from
-    the truth's law; with risk_method "exact" the test-set expectation is
-    computed by quadrature over that law instead.
+    eta=0 (anchors only), over fresh blocks (see fresh_block_reports).
     Replicates are independently seeded, so jobs > 1 changes nothing but
     wall time.
     """

@@ -60,19 +60,19 @@ def anchor_residuals(y: SsmDataset) -> np.ndarray:
     return np.sum((y.x_anchor - y.theta_anchor) ** 2, axis=1)
 
 
-def anchor_pair_log_predictive(r, t, log_w, n_pairs: int = 1) -> np.ndarray:
-    """log sum_g w_g (2 pi t_g)^-n exp(-r / (2 t_g)), reduced over the last
+def anchor_pair_log_predictive(r, t, log_w) -> np.ndarray:
+    """log sum_g w_g (2 pi t_g)^-1 exp(-r / (2 t_g)), reduced over the last
     axis of t.
 
-    This is the log predictive density of n anchor pairs with residual sum
-    of squares r under a mixture, with log weights log_w, of N(0, t_g I)
-    emission laws; n = 1 is one block.  r broadcasts against the leading
+    This is the log predictive density of one block's anchor pair with
+    residual sum of squares r under a mixture, with log weights log_w, of
+    N(0, t_g I_2) emission laws.  r broadcasts against the leading
     axes of t: r (J,) with t (G,) gives (J,), a scalar r with t (E, G)
     gives (E,), and r (J,) with t (E, 1, G) gives (E, J).  One (..., G)
     array is built and reduced in place.
     """
     out = np.asarray(r, dtype=float)[..., None] * (-0.5 / t)
-    out += log_w - n_pairs * np.log(2.0 * np.pi * t)
+    out += log_w - np.log(2.0 * np.pi * t)
     m = np.max(out, axis=-1, keepdims=True)
     out -= m
     np.exp(out, out=out)
@@ -152,14 +152,13 @@ class SsmPhiPosterior:
         return replace(self, etas=self.etas[i], phi2=self.phi2[i],
                        log_weights=self.log_weights[i], log_norm=self.log_norm[i])
 
-    def scores(self, r, n_pairs: int = 1) -> np.ndarray:
-        """Log predictive density of n_pairs anchor pairs with residual sum
-        of squares r under each row, shape (E, *r.shape), or r.shape for a
+    def scores(self, r) -> np.ndarray:
+        """Log predictive density of one anchor pair with residual sum of
+        squares r under each row, shape (E, *r.shape), or r.shape for a
         single posterior; a row reduces its own nodes, bitwise as alone."""
         shape = self.phi2.shape[:-1] + (1,) * np.ndim(r) + (-1,)
         return anchor_pair_log_predictive(r, self.phi2.reshape(shape),
-                                          self.log_weights.reshape(shape),
-                                          n_pairs)
+                                          self.log_weights.reshape(shape))
 
     def block_log_predictive(self, y: SsmDataset) -> np.ndarray:
         """Per-block log predictive density of y's anchor pairs under each

@@ -662,28 +662,33 @@ def test_risk_ratio_command(tmp_path):
 
 def test_risk_ratio_matches_one_lattice_per_eta(tmp_path):
     """The two etas share one lattice; risk_ratio.json is byte-identical to
-    scoring with a separately built one-row lattice per eta."""
-    cfg = {"phi_M_star": 0.5, "n_total_blocks": 12, "test_blocks": 20,
-           "n_test_sets": 4, "eta1": 0.3, "eta2": 1.0, "seed": 2}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["risk-ratio", "--config", str(path), "--out",
-                 str(tmp_path)]) == EXIT_OK
+    scoring with a separately built one-row lattice per eta.  Integer etas
+    are written back as given, not as the lattice's floats."""
     truth = SsmTruth(phi_M_star=0.5)
     full = datasets.simulate_ssm(truth, 12, 6, 2)
-    posts = {eta: ssm.build_ssm_phi_posterior(full, truth, eta)
-             for eta in (0.3, 1.0)}
     # fresh anchor residuals r = 2 phi_A*^2 u, u ~ Exp(1), one row per set
     r = 2.0 * truth.phi_A_star ** 2 * np.random.default_rng(
         2 + 7000).standard_exponential((4, 20))
-    scores = {eta: np.array([post.scores(z) for z in r])
-              for eta, post in posts.items()}
-    rep = evaluation.risk_ratio_product(0.3, 1.0, scores[0.3], scores[1.0])
-    want = json.dumps({"s1": rep.s1, "s2": rep.s2, "value": rep.value,
-                       "mean_log_ratio": rep.mean_log_ratio,
-                       "mc_se": rep.mc_se, "n_test_sets": rep.n_test_sets},
-                      indent=2)
-    assert (tmp_path / "risk_ratio.json").read_text() == want
+    for k, (eta1, eta2) in enumerate(((0.3, 1.0), (0, 1))):
+        cfg = {"phi_M_star": 0.5, "n_total_blocks": 12, "test_blocks": 20,
+               "n_test_sets": 4, "eta1": eta1, "eta2": eta2, "seed": 2}
+        out = tmp_path / str(k)
+        path = tmp_path / f"cfg{k}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["risk-ratio", "--config", str(path), "--out",
+                     str(out)]) == EXIT_OK
+        posts = {eta: ssm.build_ssm_phi_posterior(full, truth, eta)
+                 for eta in (eta1, eta2)}
+        scores = {eta: np.array([post.scores(z) for z in r])
+                  for eta, post in posts.items()}
+        rep = evaluation.risk_ratio_product(eta1, eta2, scores[eta1],
+                                            scores[eta2])
+        want = json.dumps({"s1": rep.s1, "s2": rep.s2, "value": rep.value,
+                           "mean_log_ratio": rep.mean_log_ratio,
+                           "mc_se": rep.mc_se,
+                           "n_test_sets": rep.n_test_sets}, indent=2)
+        assert (out / "risk_ratio.json").read_text() == want
+    assert want.startswith('{\n  "s1": 0,\n  "s2": 1,')
 
 
 _SSM_DATA = {"phi_M_star": 1.0, "n_total_blocks": 60, "d_x": 6}

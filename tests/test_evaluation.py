@@ -77,6 +77,11 @@ def test_mean_log_ratio_is_mean_of_finite_set_log_ratios():
         float(np.mean(rep.per_set_log_ratios)))
     # sum over blocks of -1*(1+z) + 2*(1+z) = sum(1+z)
     assert rep.mean_log_ratio == pytest.approx((2.2 + 2.7) / 2)
+    # the standard error is of the kept sets' ratios alone
+    kept = np.array([2.2, 2.7])
+    assert rep.n_test_sets == len(rep.per_set_log_ratios)
+    assert rep.mc_se == pytest.approx(
+        np.std(np.exp(kept), ddof=1) / np.sqrt(len(kept)))
 
 
 def _block_logp(post, rr):
